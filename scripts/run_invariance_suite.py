@@ -11,7 +11,7 @@ determinant factorization and scalar coverage.
 import argparse
 import time
 
-from affinecost import ScalarGrid, TrialConfig, cost_from_selector, run_invariance_suite
+from affinecost import TrialConfig, cost_from_selector, run_invariance_suite
 
 SELECTORS = ["det", "qdet:0.5", "qdet:1", "qdet:2", "trace", "identity"]
 
@@ -23,8 +23,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = TrialConfig(dims=tuple(args.dims), trials=args.trials,
-                      master_seed=args.seed, s_grid=ScalarGrid())
+    cfg = TrialConfig(dims=tuple(args.dims), trials=args.trials, master_seed=args.seed)
     print(f"dims={list(cfg.dims)} trials={cfg.trials} seed={cfg.master_seed} "
           f"rel_tol={cfg.rel_tol}")
     header = f"{'cost':>10} {'verdict':>8} {'coverage':>9}  failures by check"

@@ -29,7 +29,6 @@ from .groups import (
     reconstruct_factors,
 )
 from .harness import (
-    ScalarGrid,
     TrialConfig,
     UnrecognizedKernelError,
     check_det_factorization,
@@ -128,13 +127,11 @@ def _emit(text: str, output) -> None:
 
 
 def _config_from_args(args) -> TrialConfig:
-    dims = _parse_dims(args.dims)
     return TrialConfig(
-        dims=dims,
+        dims=_parse_dims(args.dims),
         trials=args.trials,
         master_seed=args.seed,
         rel_tol=args.tol,
-        s_grid=ScalarGrid(),
     )
 
 

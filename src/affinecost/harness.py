@@ -2,18 +2,21 @@
 
 Five identity checks (the defining implication, orthogonal conjugation,
 the commutator equality, the SVD collapse, and determinant factorization),
-a scalar surjectivity probe, and kernel estimation. Every check samples
-matrices through per-trial seeds split off a master seed, so a report is a
-deterministic function of its TrialConfig alone and independent of
-execution order. Failures are data, not errors: they are aggregated into
-reports together with fully serialized counterexample inputs.
+a scalar surjectivity probe, and kernel estimation. The probe tries one
+candidate per sample, the scalar matrix of equal determinant, which
+covers every sample of a cost that factors through the determinant.
+Every check samples matrices through per-trial seeds split off a master
+seed, so a report is a deterministic function of its TrialConfig alone
+and independent of execution order. Failures are data, not errors: they
+are aggregated into reports together with fully serialized
+counterexample inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,24 +63,6 @@ class UnrecognizedKernelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ScalarGrid:
-    """Geometric grid of scalars s for probing f on the matrices s*I."""
-
-    lo: float = 1e-3
-    hi: float = 1e3
-    points: int = 512
-
-    def __post_init__(self):
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError(f"grid needs 0 < lo < hi, got [{self.lo}, {self.hi}]")
-        if self.points < 2:
-            raise ValueError("grid needs at least two points")
-
-    def values(self) -> np.ndarray:
-        return np.geomspace(self.lo, self.hi, self.points)
-
-
-@dataclass(frozen=True)
 class TrialConfig:
     """Sweep shape shared by all checks.
 
@@ -89,7 +74,6 @@ class TrialConfig:
     trials: int = 100
     master_seed: int = 0
     rel_tol: float = 1e-8
-    s_grid: ScalarGrid = field(default_factory=ScalarGrid)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -197,20 +181,12 @@ def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.ra
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _f_eval(f, M, cache):
-    value = cache.get(id(M))
-    if value is None:
-        value = f(M)
-        cache[id(M)] = value
-    return value
-
-
 def _run_check_many(costs, cfg: TrialConfig, check_name: str, trial_fn) -> list:
     """Drive one identity check for several costs over shared samples.
 
     trial_fn(dim, rng) yields (sub_name, inputs, evaluate) tuples, where
     inputs maps names to raw arrays (serialized only on failure) and
-    evaluate(f, cache) produces the (lhs, rhs) cost values. Sharing the
+    evaluate(f) produces the (lhs, rhs) cost values. Sharing the
     sampled matrices across costs changes nothing in any single report:
     trial streams depend only on (master_seed, check, dim, trial).
     """
@@ -221,9 +197,8 @@ def _run_check_many(costs, cfg: TrialConfig, check_name: str, trial_fn) -> list:
             rng = _trial_rng(cfg.master_seed, check_name, dim, trial)
             samples = list(trial_fn(dim, rng))
             for slot, f in enumerate(costs):
-                cache: dict = {}
                 for sub_name, inputs, evaluate in samples:
-                    lhs, rhs = evaluate(f, cache)
+                    lhs, rhs = evaluate(f)
                     disc = cost_value_discrepancy(lhs, rhs)
                     tol = IDENTITY_ENTRY_TOL if lhs.payload is not None else cfg.rel_tol
                     runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
@@ -254,8 +229,8 @@ def _orthogonal_trial(cfg):
         conjugated = congruence(gram, Q)
         inputs = {"A": A.entries, "Q": Q.entries}
 
-        def evaluate(f, cache):
-            return _f_eval(f, gram, cache), _f_eval(f, conjugated, cache)
+        def evaluate(f):
+            return f(gram), f(conjugated)
 
         yield "orthogonal", inputs, evaluate
 
@@ -270,8 +245,8 @@ def _commutator_trial(cfg):
         rhs = congruence(congruence(SymPosDefMatrix.identity(dim), A), B)
         inputs = {"A": A.entries, "B": B.entries}
 
-        def evaluate(f, cache):
-            return _f_eval(f, lhs, cache), _f_eval(f, rhs, cache)
+        def evaluate(f):
+            return f(lhs), f(rhs)
 
         yield "commutator", inputs, evaluate
 
@@ -288,8 +263,8 @@ def _svd_collapse_trial(cfg):
         core = SymPosDefMatrix.diagonal((s2 * s1) ** 2)
         inputs = {"A": A.entries, "B": B.entries}
 
-        def evaluate(f, cache):
-            return _f_eval(f, full, cache), _f_eval(f, core, cache)
+        def evaluate(f):
+            return f(full), f(core)
 
         yield "svd_collapse", inputs, evaluate
 
@@ -306,18 +281,18 @@ def _implication_trial(cfg):
         NA = congruence(N, A)
         inputs = {"M": M.entries, "N": N.entries, "A": A.entries}
 
-        def evaluate(f, cache):
+        def evaluate(f):
             # Equal-value pairs are constructed, not searched: N is the
             # SL-congruence when that preserves the value (always, for
             # factoring costs) and an exact copy of M otherwise; rejection
             # sampling on equality of reals would never terminate.
-            lhs = _f_eval(f, MA, cache)
-            vM = _f_eval(f, M, cache)
-            vN = _f_eval(f, N, cache)
+            lhs = f(MA)
+            vM = f(M)
+            vN = f(N)
             if cost_value_discrepancy(vM, vN) <= (
                 IDENTITY_ENTRY_TOL if vM.payload is not None else cfg.rel_tol
             ):
-                return lhs, _f_eval(f, NA, cache)
+                return lhs, f(NA)
             return lhs, lhs
 
         yield "implication", inputs, evaluate
@@ -332,11 +307,11 @@ def _det_factorization_trial(cfg):
         conjugated = congruence(M, S)
         scalar = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
 
-        def evaluate_sl(f, cache):
-            return _f_eval(f, conjugated, cache), _f_eval(f, M, cache)
+        def evaluate_sl(f):
+            return f(conjugated), f(M)
 
-        def evaluate_scalar(f, cache):
-            return _f_eval(f, M, cache), _f_eval(f, scalar, cache)
+        def evaluate_scalar(f):
+            return f(M), f(scalar)
 
         yield "sl_conjugation", {"M": M.entries, "S": S.entries}, evaluate_sl
         yield "scalar_collapse", {"M": M.entries, "sI": scalar.entries}, evaluate_scalar
@@ -388,42 +363,27 @@ def check_det_factorization(f: CostFunction, cfg: TrialConfig) -> InvarianceRepo
 
 
 def probe_scalar_surjectivity(f: CostFunction, cfg: TrialConfig) -> SurjectivityReport:
-    """Fraction of random samples whose value is covered by some scalar
-    matrix s*I.
+    """Fraction of random samples M whose value f(M) equals f(s*I) at
+    the solved scalar s = exp(log_det(M)/n).
 
-    Candidates per sample: the whole geometric s-grid plus the solved
-    scalar s = exp(log_det(M)/n), which refines the grid around the exact
-    determinant match.
+    The solved scalar is the only candidate tried. A cost that factors
+    through the determinant takes equal values on matrices of equal
+    determinant, so this s covers every M and no other candidate could
+    add coverage; that is the surjectivity on scalar matrices the
+    factoring theorem uses. A cost matched only by some other scalar (the
+    trace, at s = tr(M)/n) counts as uncovered, since its witness does
+    not come from the determinant.
     """
-    grid = cfg.s_grid.values()
     covered = 0
     samples = 0
     uncovered: list = []
     for dim in cfg.dims:
-        grid_values = [f(SymPosDefMatrix.scalar(dim, float(s))) for s in grid]
-        payloads = None
-        canonicals = None
-        if grid_values[0].payload is not None:
-            payloads = np.stack([v.payload for v in grid_values])
-        else:
-            canonicals = np.array([v.canonical for v in grid_values])
         for trial in range(cfg.trials):
             rng = _trial_rng(cfg.master_seed, "surjectivity", dim, trial)
             M = random_pd(dim, rng)
-            value = f(M)
             samples += 1
-            solved = f(SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim)))
-            hit = cost_values_match(value, solved, cfg.rel_tol)
-            if not hit:
-                if payloads is not None:
-                    diffs = np.abs(payloads - value.payload).max(axis=(1, 2))
-                    hit = bool(diffs.min() <= 1e-10)
-                else:
-                    bound = cfg.rel_tol * np.maximum(
-                        1.0, np.maximum(np.abs(canonicals), abs(value.canonical))
-                    )
-                    hit = bool((np.abs(canonicals - value.canonical) <= bound).any())
-            if hit:
+            solved = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
+            if cost_values_match(f(M), f(solved), cfg.rel_tol):
                 covered += 1
             elif len(uncovered) < MAX_COUNTEREXAMPLES:
                 uncovered.append(

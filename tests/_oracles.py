@@ -1,11 +1,12 @@
 """Independent oracles used to freeze expected test values.
 
 Everything here deliberately avoids the library's own computation paths:
-determinants come from the Leibniz permutation expansion, quantization
-indices from brute-force enumeration, and the robust-mean reference from a
-plain-Python exhaustive search.
+determinants come from the Leibniz permutation expansion or from exact
+rational elimination, quantization indices from brute-force enumeration,
+and the robust-mean reference from a plain-Python exhaustive search.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -24,6 +25,28 @@ def det_permutation(matrix) -> float:
             prod *= rows[i][j]
         total += sign * prod
     return total
+
+
+def det_exact(matrix) -> Fraction:
+    """Exact determinant of the float entries, by Gaussian elimination in
+    rational arithmetic. Nothing is rounded, so the result judges
+    ill-conditioned inputs where the floating Leibniz sum cannot."""
+    rows = [[Fraction(float(x)) for x in row] for row in matrix]
+    n = len(rows)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            factor = rows[r][c] / rows[c][c]
+            for j in range(c + 1, n):
+                rows[r][j] -= factor * rows[c][j]
+    return det
 
 
 def _permutation_sign(perm) -> int:

@@ -173,6 +173,17 @@ class TestDecomposeCommand:
         residual = float(captured.err.split()[-1])
         assert residual <= 1e-8
 
+    def test_large_entry_unit_triangular(self, tmp_path, capsys):
+        # Determinant one but condition number near 3.6e5: the input is
+        # invertible, so it must decompose.
+        matrix = np.eye(3)
+        matrix[0, 2] = 600.0
+        path = tmp_path / "shear.txt"
+        path.write_text(format_matrix(matrix))
+        code = main(["decompose", "--input", str(path), "--format", "json"])
+        assert code == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+
     def test_det_gate_violation(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
         path.write_text(format_matrix(2.0 * np.eye(2)))
@@ -191,6 +202,13 @@ class TestDecomposeCommand:
 class TestCommutatorCommand:
     def test_two_dim_witness(self, capsys):
         code = main(["commutator", "--n", "2", "--i", "1", "--j", "2", "--lambda", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PASS
+        residual = float(captured.out.splitlines()[-1].split()[-1])
+        assert residual <= 1e-12
+
+    def test_large_lambda(self, capsys):
+        code = main(["commutator", "--n", "3", "--i", "1", "--j", "2", "--lambda", "1e3"])
         captured = capsys.readouterr()
         assert code == EXIT_PASS
         residual = float(captured.out.splitlines()[-1].split()[-1])

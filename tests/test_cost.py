@@ -24,6 +24,7 @@ from affinecost.linalg import (
     InvertibleMatrix,
     SymPosDefMatrix,
     congruence,
+    log_det,
     random_pd,
     random_sl,
     sqrt_pd,
@@ -46,6 +47,27 @@ class TestDetCost:
         M = random_pd(n, seed)
         S = random_sl(n, seed + 7)
         assert cost_values_match(det_cost(M), det_cost(congruence(M, S)))
+
+
+class TestLogDetReuse:
+    def test_cholesky_runs_once_per_matrix(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        M = random_pd(4, 3)
+        first = log_det(M)
+        for selector in ("det", "qdet:0.5", "qdet:2"):
+            cost_from_selector(selector)(M)
+        assert log_det(M) == first
+        assert len(calls) == 1
+        # A new instance with equal entries factors its own matrix.
+        assert log_det(SymPosDefMatrix(M.entries)) == first
+        assert len(calls) == 2
 
 
 class TestQuantizedDetCost:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affinecost.cost import DET_COST, KernelSpec, factored_cost
@@ -52,8 +52,8 @@ class TestElementary:
 
     @given(lam=st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
     def test_determinant_exactly_one_unrealized(self, lam):
-        # The raw matrix keeps determinant 1 for any scale; only the
-        # realized InvertibleMatrix applies the conditioning gate.
+        # The raw matrix keeps determinant 1 for any scale; the oracle
+        # reads its entries directly, with no gate in between.
         assert det_permutation(ElementaryMatrix(4, 2, 0, lam).matrix()) == 1.0
 
     def test_diagonal_position_rejected(self):
@@ -82,10 +82,9 @@ class TestCommutator:
         out = commutator(D1, D2)
         assert np.abs(out.entries - np.eye(2)).max() < 1e-14
 
-    @given(seed=seeds, n=st.integers(min_value=1, max_value=3))
+    @example(seed=7237495, n=3)
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=6))
     def test_determinant_one(self, seed, n):
-        # Dimensions stay small: the four-factor product can trip the
-        # conditioning gate at n >= 4 even for capped inputs.
         A = random_gl(n, seed)
         B = random_gl(n, seed + 13)
         det = np.linalg.det(commutator(A, B).entries)
@@ -110,7 +109,7 @@ class TestTransposeCommutator:
         for f in FACTORED_COSTS:
             assert kernel_membership(out, f)
 
-    @given(seed=seeds, n=st.integers(min_value=1, max_value=3))
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=6))
     def test_determinant_one(self, seed, n):
         A = random_gl(n, seed)
         B = random_gl(n, seed + 1)
@@ -119,10 +118,8 @@ class TestTransposeCommutator:
 
     def test_kernel_membership_for_every_factored_cost(self):
         # Normality witness: B^T A^T B^-1 A^-1 always lands in the kernel.
-        # Dimensions stay at 3 and below: the four-factor product can
-        # trip the conditioning gate at n >= 4 even for capped inputs.
         for seed in range(30):
-            n = 1 + seed % 3
+            n = 1 + seed % 6
             A = random_gl(n, seed)
             B = random_gl(n, 700 + seed)
             W = transpose_commutator(A, B)
