@@ -116,11 +116,14 @@ def decompose_sl(A: InvertibleMatrix) -> list:
 
     The left-to-right product of the returned factors reconstructs A
     (within 1e-8 relative Frobenius error for well-conditioned inputs).
-    Gaussian elimination restricted to row additions: a pivot within
-    PIVOT_TOL of zero is first repaired by adding a lower row with the
-    largest entry in that column, the matrix is reduced to
-    diag(1, ..., 1, det) by pairwise diagonal collapses, and the final
-    diagonal entry (= 1 within the determinant gate) is absorbed.
+    Gaussian elimination restricted to row additions. A pivot smaller in
+    magnitude than some lower entry of its column is first repaired by
+    adding the lower row with the largest entry there, with the sign that
+    makes the two entries add; this is partial pivoting without a row
+    swap, and keeps every elimination multiplier at most 1 in magnitude.
+    The matrix is then reduced to diag(1, ..., 1, det) by pairwise
+    diagonal collapses, and the final diagonal entry (= 1 within the
+    determinant gate) is absorbed.
 
     Raises ValueError when |det(A) - 1| > SL_DET_TOL or when no usable
     pivot exists (input numerically singular).
@@ -145,9 +148,9 @@ def decompose_sl(A: InvertibleMatrix) -> list:
         scale = float(block.max())
         if scale <= PIVOT_TOL:
             raise ValueError(f"pivot unreachable in column {c}: input is numerically singular")
-        if abs(w[c, c]) <= PIVOT_TOL * max(1.0, scale):
+        if abs(w[c, c]) < scale:
             r = c + 1 + int(np.argmax(np.abs(w[c + 1:, c])))
-            apply(c, r, 1.0)
+            apply(c, r, 1.0 if w[c, c] * w[r, c] >= 0.0 else -1.0)
         for r in range(c + 1, n):
             if w[r, c] != 0.0:
                 apply(r, c, -w[r, c] / w[c, c])

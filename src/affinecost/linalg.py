@@ -39,6 +39,11 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix fails the positive definiteness gate."""
 
 
+class SamplerExhaustedError(RuntimeError):
+    """Raised when a sampler draws RESAMPLE_LIMIT candidates and none
+    passes its condition cap."""
+
+
 def _square_entries(entries) -> np.ndarray:
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -70,7 +75,7 @@ class SymPosDefMatrix:
         if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
         eigenvalues = np.linalg.eigvalsh(arr)
-        if eigenvalues[-1] <= 0.0 or eigenvalues[0] <= PD_EIG_RATIO * eigenvalues[-1]:
+        if not _passes_pd_gate(eigenvalues[0], eigenvalues[-1]):
             raise NotPositiveDefiniteError(
                 "matrix is not positive definite within tolerance "
                 f"(eigenvalue range [{eigenvalues[0]:.3e}, {eigenvalues[-1]:.3e}])"
@@ -80,6 +85,14 @@ class SymPosDefMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @classmethod
+    def _gated(cls, entries: np.ndarray, log_det: float) -> "SymPosDefMatrix":
+        # For read-only entries that already passed gate_stack: skips the
+        # gate and fills the cached log-det.
+        M = object.__new__(cls)
+        M.__dict__.update(entries=entries, _log_det=log_det)
+        return M
 
     @cached_property
     def _log_det(self) -> float:
@@ -103,6 +116,33 @@ class SymPosDefMatrix:
     @classmethod
     def diagonal(cls, values) -> "SymPosDefMatrix":
         return cls(np.diag(np.asarray(values, dtype=np.float64)))
+
+
+def _passes_pd_gate(smallest, largest):
+    """The positive definiteness gate on extreme eigenvalues; works
+    elementwise on arrays of them too."""
+    return (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
+
+
+def gate_stack(stack: np.ndarray) -> list:
+    """SymPosDefMatrix's gate over an (m, n, n) stack, by one batched
+    eigvalsh, with log-dets from one batched Cholesky.
+
+    The stack must be exactly symmetric, as (C + C^T)/2 is, so symmetry
+    is not checked again. Non-finite entries raise the constructor's
+    ValueError. Returns (position, matrix) for each passing matrix in
+    stack order; the matrices view the stack, which becomes read-only,
+    and their batched log-dets may differ from log_det's by an ulp.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
+    eigenvalues = np.linalg.eigvalsh(stack)
+    positions = np.flatnonzero(_passes_pd_gate(eigenvalues[:, 0], eigenvalues[:, -1]))
+    stack.setflags(write=False)
+    chol = np.linalg.cholesky(stack[positions])
+    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return [(j, SymPosDefMatrix._gated(stack[j], ld))
+            for j, ld in zip(positions.tolist(), log_dets.tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +297,7 @@ def random_gl(n: int, seed) -> InvertibleMatrix:
         cand = rng.standard_normal((n, n))
         if _well_conditioned(cand):
             return InvertibleMatrix(cand)
-    raise RuntimeError(f"no well-conditioned sample in {RESAMPLE_LIMIT} attempts")
+    raise _exhausted("invertible", n)
 
 
 def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
@@ -287,7 +327,14 @@ def random_sl(n: int, seed) -> InvertibleMatrix:
         cand[:, 0] /= det
         if _well_conditioned(cand):
             return InvertibleMatrix(cand)
-    raise RuntimeError(f"no well-conditioned sample in {RESAMPLE_LIMIT} attempts")
+    raise _exhausted("determinant-one", n)
+
+
+def _exhausted(kind: str, n: int) -> SamplerExhaustedError:
+    return SamplerExhaustedError(
+        f"no {kind} {n}x{n} sample with condition number at most "
+        f"{SAMPLER_CONDITION_CAP:g} in {RESAMPLE_LIMIT} draws"
+    )
 
 
 def format_matrix(entries) -> str:

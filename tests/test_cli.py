@@ -71,6 +71,18 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("dims", ["7", "8"])
+    def test_dims_past_sampler_reach_are_usage_error(self, dims, capsys):
+        # random_sl's condition cap accepts too few draws at n >= 7 for
+        # its resample limit; the run must end in a diagnostic, not a
+        # traceback.
+        code = main(["check", "--cost", "det", "--dims", dims, "--trials", "20"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"no determinant-one {dims}x{dims} sample" in captured.err
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["check", "--cost", "det", "--dims", "2", "--trials", "5",

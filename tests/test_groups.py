@@ -189,7 +189,10 @@ class TestDecomposeSl:
             assert isinstance(factor, ElementaryMatrix)
             assert det_permutation(factor.matrix()) == 1.0
 
-    @given(seed=seeds, n=st.integers(min_value=1, max_value=5))
+    # seed=115169, n=5 has a small nonzero first-column pivot (-0.0089);
+    # repairing only near-zero pivots left a residual of 5.8e-8 there.
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=6))
+    @example(seed=115169, n=5)
     def test_reconstruction(self, seed, n):
         S = random_sl(n, seed)
         factors = decompose_sl(S)

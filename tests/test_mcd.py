@@ -1,11 +1,20 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from affinecost.cost import DET_COST, TRACE_COST, KernelSpec, factored_cost
+from affinecost.cost import (
+    COST_REL_TOL,
+    DET_COST,
+    IDENTITY_COST,
+    TRACE_COST,
+    KernelSpec,
+    factored_cost,
+)
 from affinecost.linalg import InvertibleMatrix, random_gl
 from affinecost.mcd import (
+    CHUNK_SUBSETS,
     Dataset,
     DegenerateSubsetError,
     affine_transform_dataset,
@@ -174,6 +183,95 @@ class TestMcdEstimate:
     def test_quantized_cost_accepted(self):
         result = mcd_estimate(CLUSTER_2D, 3, factored_cost(KernelSpec.lattice(1.0)))
         assert len(result.subset) == 3
+
+
+def reference_mcd(dataset, h, f, normalization="h"):
+    """The estimator as a plain loop: f(subset_covariance(...)) for every
+    h-subset in lexicographic order, under the same tie-band scan.
+    Returns (subset, cost value, examined, degenerate)."""
+    best_subset, best_value = None, None
+    examined = degenerate = 0
+    for subset in combinations(range(dataset.k), h):
+        examined += 1
+        try:
+            value = f(subset_covariance(dataset, subset, normalization))
+        except DegenerateSubsetError:
+            degenerate += 1
+            continue
+        if best_value is None:
+            best_subset, best_value = subset, value
+            continue
+        gap = best_value.canonical - value.canonical
+        if gap > COST_REL_TOL * max(1.0, abs(best_value.canonical), abs(value.canonical)):
+            best_subset, best_value = subset, value
+    return best_subset, best_value, examined, degenerate
+
+
+PARITY_COSTS = [DET_COST, factored_cost(KernelSpec.lattice(1.0)), TRACE_COST, IDENTITY_COST]
+# (n, k, h): every shape but the first spans more than one chunk.
+PARITY_SHAPES = [(1, 9, 4), (1, 11, 5), (2, 11, 5), (3, 12, 6), (4, 12, 7)]
+
+
+def parity_dataset(n, k, h, seed):
+    """Gaussian points with h + 1 of them moved onto the hyperplane
+    x_0 = 0.5 (to a single point when n = 1), so h + 1 subsets are
+    degenerate, and with the last point a copy of the first."""
+    rng = np.random.default_rng([seed, n, k, h])
+    points = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2, 2)
+    points[rng.choice(k - 1, size=h + 1, replace=False), 0] = 0.5
+    points[-1] = points[0]
+    return Dataset(points)
+
+
+class TestChunkedParity:
+    @pytest.mark.parametrize("normalization", ["h", "h-1"])
+    @pytest.mark.parametrize("f", PARITY_COSTS, ids=[f.name for f in PARITY_COSTS])
+    @pytest.mark.parametrize("n,k,h", PARITY_SHAPES)
+    def test_matches_reference_loop(self, n, k, h, f, normalization):
+        for seed in range(2):
+            data = parity_dataset(n, k, h, seed)
+            subset, value, examined, degenerate = reference_mcd(data, h, f, normalization)
+            result = mcd_estimate(data, h, f, normalization)
+            assert result.subset == subset
+            assert result.subsets_examined == examined == math.comb(k, h)
+            assert result.degenerate_subsets == degenerate
+            if n == 1:
+                assert degenerate >= 1
+            assert result.cost_value.canonical == value.canonical
+            assert result.cost_value.class_tag == value.class_tag
+
+    def test_exact_tie_across_chunks_keeps_smallest_subset(self):
+        # Pairs (0, 17) and (17, 19) both have variance exactly 0.25, and
+        # every other pair is further apart; with 24 points they are
+        # scored in different chunks.
+        points = [10.0 * (i + 1) for i in range(24)]
+        points[0], points[17], points[19] = 0.0, 1.0, 2.0
+        data = Dataset([[x] for x in points])
+        order = list(combinations(range(24), 2))
+        assert order.index((0, 17)) // CHUNK_SUBSETS != order.index((17, 19)) // CHUNK_SUBSETS
+        tied = [subset_covariance(data, s).entries for s in [(0, 17), (17, 19)]]
+        assert tied[0][0, 0] == tied[1][0, 0] == 0.25
+        for f in PARITY_COSTS[:3]:
+            result = mcd_estimate(data, 2, f)
+            assert result.subset == (0, 17)
+            assert result.subset == reference_mcd(data, 2, f)[0]
+
+    def test_reported_cost_is_a_lone_evaluation(self):
+        # For this dataset's winner the batched log-det differs from
+        # log_det's by an ulp; the report must still carry log_det's value.
+        data = Dataset(np.random.default_rng([6258, 7]).standard_normal((7, 2)))
+        result = mcd_estimate(data, 4, DET_COST)
+        assert result.subset == (0, 1, 2, 5)
+        lone = DET_COST(subset_covariance(data, result.subset))
+        assert result.cost_value.canonical == lone.canonical
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_covariance_raises(self):
+        # Covariance entries near 1e400 overflow to inf: the stacked gate
+        # must raise like SymPosDefMatrix, not count the subsets degenerate.
+        data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * 1e200)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            mcd_estimate(data, 4, DET_COST)
 
 
 class TestAffineTransform:
