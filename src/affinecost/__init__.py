@@ -4,134 +4,24 @@ A library and CLI for the determinant-factoring cost family: cost
 construction and controls, randomized verification of the invariance
 identities, constructive determinant-one group structure, kernel lattice
 estimation, and the exhaustive minimum covariance determinant estimator.
+The package namespace carries what the experiment scripts use; the rest
+lives in the submodules (cost, harness, groups, linalg, mcd, cli).
 """
 
 __version__ = "0.1.0"
 
-from .cost import (
-    COST_REL_TOL,
-    CostFunction,
-    CostValue,
-    KernelSpec,
-    cost_from_selector,
-    cost_values_match,
-    det_cost,
-    factored_cost,
-    identity_cost,
-    quantized_det_cost,
-    trace_cost,
-)
-from .groups import (
-    CommutatorPair,
-    ElementaryMatrix,
-    commutator,
-    decompose_sl,
-    elementary,
-    elementary_as_commutator,
-    kernel_membership,
-    transpose_commutator,
-)
-from .harness import (
-    InvarianceReport,
-    KernelEstimate,
-    SuiteReport,
-    TrialConfig,
-    UnrecognizedKernelError,
-    check_commutator_property,
-    check_det_factorization,
-    check_implication,
-    check_orthogonal_property,
-    check_svd_collapse,
-    estimate_kernel,
-    probe_scalar_surjectivity,
-    run_invariance_suite,
-)
-from .linalg import (
-    InvertibleMatrix,
-    NotPositiveDefiniteError,
-    OrthogonalMatrix,
-    SamplerExhaustedError,
-    SvdTriple,
-    SymPosDefMatrix,
-    congruence,
-    format_matrix,
-    log_det,
-    parse_matrix,
-    random_gl,
-    random_orthogonal,
-    random_pd,
-    random_sl,
-    sqrt_pd,
-    svd_decompose,
-)
-from .mcd import (
-    Dataset,
-    DegenerateSubsetError,
-    EstimateResult,
-    affine_transform_dataset,
-    check_equivariance,
-    mcd_estimate,
-    parse_dataset_csv,
-    subset_covariance,
-    subset_mean,
-)
+from .cost import KernelSpec, cost_from_selector, factored_cost
+from .harness import TrialConfig, run_invariance_suite
+from .linalg import random_gl
+from .mcd import Dataset, check_equivariance
 
 __all__ = [
-    "COST_REL_TOL",
-    "CommutatorPair",
-    "CostFunction",
-    "CostValue",
     "Dataset",
-    "DegenerateSubsetError",
-    "ElementaryMatrix",
-    "EstimateResult",
-    "InvarianceReport",
-    "InvertibleMatrix",
-    "KernelEstimate",
     "KernelSpec",
-    "NotPositiveDefiniteError",
-    "OrthogonalMatrix",
-    "SamplerExhaustedError",
-    "SuiteReport",
-    "SvdTriple",
-    "SymPosDefMatrix",
     "TrialConfig",
-    "UnrecognizedKernelError",
-    "affine_transform_dataset",
-    "check_commutator_property",
-    "check_det_factorization",
     "check_equivariance",
-    "check_implication",
-    "check_orthogonal_property",
-    "check_svd_collapse",
-    "commutator",
-    "congruence",
     "cost_from_selector",
-    "cost_values_match",
-    "decompose_sl",
-    "det_cost",
-    "elementary",
-    "elementary_as_commutator",
-    "estimate_kernel",
     "factored_cost",
-    "format_matrix",
-    "identity_cost",
-    "kernel_membership",
-    "log_det",
-    "mcd_estimate",
-    "parse_dataset_csv",
-    "parse_matrix",
-    "probe_scalar_surjectivity",
-    "quantized_det_cost",
     "random_gl",
-    "random_orthogonal",
-    "random_pd",
-    "random_sl",
     "run_invariance_suite",
-    "sqrt_pd",
-    "subset_covariance",
-    "subset_mean",
-    "svd_decompose",
-    "trace_cost",
-    "transpose_commutator",
 ]

@@ -82,20 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default=default_format)
 
+    def add_trials(p):
+        p.add_argument("--cost", required=True, help="det | qdet:<a> | trace | identity")
+        p.add_argument("--dims", default="1..6", help='dimensions, e.g. "1..6" or "2,3"')
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-8)
+
     p_check = sub.add_parser("check", help="run the invariance suite for one cost")
-    p_check.add_argument("--cost", required=True, help="det | qdet:<a> | trace | identity")
-    p_check.add_argument("--dims", default="1..6", help='dimensions, e.g. "1..6" or "2,3"')
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    add_trials(p_check)
     add_common(p_check, "json")
 
     p_kernel = sub.add_parser("kernel", help="estimate the kernel lattice of a cost")
-    p_kernel.add_argument("--cost", required=True)
-    p_kernel.add_argument("--dims", default="1..6")
-    p_kernel.add_argument("--trials", type=int, default=100)
-    p_kernel.add_argument("--seed", type=int, default=0)
-    p_kernel.add_argument("--tol", type=float, default=1e-8)
+    add_trials(p_kernel)
     add_common(p_kernel, "text")
 
     p_mcd = sub.add_parser("mcd", help="robust mean of a CSV point cloud")

@@ -57,9 +57,6 @@ class CostValue:
     class_tag: str
     payload: Optional[np.ndarray] = None
 
-    def matches(self, other: "CostValue", rel_tol: float = COST_REL_TOL) -> bool:
-        return cost_values_match(self, other, rel_tol)
-
 
 def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL) -> bool:
     """Tolerance-aware equality; comparing different classes is an error."""
@@ -99,11 +96,6 @@ class KernelSpec:
     a: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant == "rationals":
-            raise ValueError(
-                "the rational-number kernel is not supported: membership in Q "
-                "is not decidable in floating point"
-            )
         if self.variant not in (TRIVIAL, LATTICE):
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == LATTICE:

@@ -2,9 +2,12 @@
 
 Five identity checks (the defining implication, orthogonal conjugation,
 the commutator equality, the SVD collapse, and determinant factorization),
-a scalar surjectivity probe, and kernel estimation. The probe tries one
-candidate per sample, the scalar matrix of equal determinant, which
-covers every sample of a cost that factors through the determinant.
+a scalar surjectivity probe, and kernel estimation. check(f, cfg, name)
+runs one identity check, named as in ALL_CHECKS, for one cost, and
+run_all_checks runs all five for several costs over shared samples.
+The probe tries one candidate per sample, the scalar matrix of equal
+determinant, which covers every sample of a cost that factors through
+the determinant.
 Every check samples matrices through per-trial seeds split off a master
 seed, so a report is a deterministic function of its TrialConfig alone
 and independent of execution order. Failures are data, not errors: they
@@ -82,8 +85,8 @@ class TrialConfig:
         object.__setattr__(self, "dims", dims)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -181,29 +184,35 @@ def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.ra
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _run_check_many(costs, cfg: TrialConfig, check_name: str, trial_fn) -> list:
+def _tol(value, rel_tol: float) -> float:
+    # Matrix-valued (identity) costs compare entrywise, at a fixed tolerance.
+    return IDENTITY_ENTRY_TOL if value.payload is not None else rel_tol
+
+
+def _run_checks(costs, cfg: TrialConfig, check_name: str) -> list:
     """Drive one identity check for several costs over shared samples.
 
-    trial_fn(dim, rng) yields (sub_name, inputs, evaluate) tuples, where
-    inputs maps names to raw arrays (serialized only on failure) and
-    evaluate(f) produces the (lhs, rhs) cost values. Sharing the
-    sampled matrices across costs changes nothing in any single report:
-    trial streams depend only on (master_seed, check, dim, trial).
+    Each trial yields (sub_name, inputs, evaluate) tuples, where inputs
+    maps names to raw arrays (serialized only on failure) and evaluate(f)
+    produces the (lhs, rhs) cost values. Sharing the sampled matrices
+    across costs changes nothing in any single report: trial streams
+    depend only on (master_seed, check, dim, trial).
     """
+    trial_fn = _TRIALS[check_name]
+    extra = (cfg.rel_tol,) if check_name == "implication" else ()
     totals = [dict() for _ in costs]
     examples: list = [[] for _ in costs]
     for dim in cfg.dims:
         for trial in range(cfg.trials):
             rng = _trial_rng(cfg.master_seed, check_name, dim, trial)
-            samples = list(trial_fn(dim, rng))
+            samples = list(trial_fn(dim, rng, *extra))
             for slot, f in enumerate(costs):
                 for sub_name, inputs, evaluate in samples:
                     lhs, rhs = evaluate(f)
                     disc = cost_value_discrepancy(lhs, rhs)
-                    tol = IDENTITY_ENTRY_TOL if lhs.payload is not None else cfg.rel_tol
                     runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
                     runs += 1
-                    if disc > tol:
+                    if disc > _tol(lhs, cfg.rel_tol):
                         fails += 1
                         if len(examples[slot]) < MAX_COUNTEREXAMPLES:
                             serialized = {k: format_matrix(v) for k, v in inputs.items()}
@@ -221,105 +230,62 @@ def _run_check_many(costs, cfg: TrialConfig, check_name: str, trial_fn) -> list:
     return reports
 
 
-def _orthogonal_trial(cfg):
-    def trial(dim, rng):
-        A = random_gl(dim, rng)
-        Q = random_orthogonal(dim, rng)
-        gram = congruence(SymPosDefMatrix.identity(dim), A)
-        conjugated = congruence(gram, Q)
-        inputs = {"A": A.entries, "Q": Q.entries}
-
-        def evaluate(f):
-            return f(gram), f(conjugated)
-
-        yield "orthogonal", inputs, evaluate
-
-    return trial
+def _orthogonal_trial(dim, rng):
+    A = random_gl(dim, rng)
+    Q = random_orthogonal(dim, rng)
+    gram = congruence(SymPosDefMatrix.identity(dim), A)
+    conjugated = congruence(gram, Q)
+    yield "orthogonal", {"A": A.entries, "Q": Q.entries}, lambda f: (f(gram), f(conjugated))
 
 
-def _commutator_trial(cfg):
-    def trial(dim, rng):
-        A = random_gl(dim, rng)
-        B = random_gl(dim, rng)
-        lhs = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
-        rhs = congruence(congruence(SymPosDefMatrix.identity(dim), A), B)
-        inputs = {"A": A.entries, "B": B.entries}
-
-        def evaluate(f):
-            return f(lhs), f(rhs)
-
-        yield "commutator", inputs, evaluate
-
-    return trial
+def _commutator_trial(dim, rng):
+    A = random_gl(dim, rng)
+    B = random_gl(dim, rng)
+    lhs = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
+    rhs = congruence(congruence(SymPosDefMatrix.identity(dim), A), B)
+    yield "commutator", {"A": A.entries, "B": B.entries}, lambda f: (f(lhs), f(rhs))
 
 
-def _svd_collapse_trial(cfg):
-    def trial(dim, rng):
-        A = random_gl(dim, rng)
-        B = random_gl(dim, rng)
-        full = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
-        s1 = np.asarray(svd_decompose(A).singular)
-        s2 = np.asarray(svd_decompose(B).singular)
-        core = SymPosDefMatrix.diagonal((s2 * s1) ** 2)
-        inputs = {"A": A.entries, "B": B.entries}
-
-        def evaluate(f):
-            return f(full), f(core)
-
-        yield "svd_collapse", inputs, evaluate
-
-    return trial
+def _svd_collapse_trial(dim, rng):
+    A = random_gl(dim, rng)
+    B = random_gl(dim, rng)
+    full = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
+    core = SymPosDefMatrix.diagonal((svd_decompose(B) * svd_decompose(A)) ** 2)
+    yield "svd_collapse", {"A": A.entries, "B": B.entries}, lambda f: (f(full), f(core))
 
 
-def _implication_trial(cfg):
-    def trial(dim, rng):
-        M = random_pd(dim, rng)
-        S = random_sl(dim, rng)
-        N = congruence(M, S)
-        A = random_gl(dim, rng)
-        MA = congruence(M, A)
-        NA = congruence(N, A)
-        inputs = {"M": M.entries, "N": N.entries, "A": A.entries}
+def _implication_trial(dim, rng, rel_tol):
+    M = random_pd(dim, rng)
+    S = random_sl(dim, rng)
+    N = congruence(M, S)
+    A = random_gl(dim, rng)
+    MA = congruence(M, A)
+    NA = congruence(N, A)
 
-        def evaluate(f):
-            # Equal-value pairs are constructed, not searched: N is the
-            # SL-congruence when that preserves the value (always, for
-            # factoring costs) and an exact copy of M otherwise; rejection
-            # sampling on equality of reals would never terminate.
-            lhs = f(MA)
-            vM = f(M)
-            vN = f(N)
-            if cost_value_discrepancy(vM, vN) <= (
-                IDENTITY_ENTRY_TOL if vM.payload is not None else cfg.rel_tol
-            ):
-                return lhs, f(NA)
-            return lhs, lhs
+    def evaluate(f):
+        # Equal-value pairs are constructed, not searched: N is the
+        # SL-congruence when that preserves the value (always, for
+        # factoring costs) and an exact copy of M otherwise; rejection
+        # sampling on equality of reals would never terminate.
+        lhs = f(MA)
+        vM = f(M)
+        if cost_value_discrepancy(vM, f(N)) <= _tol(vM, rel_tol):
+            return lhs, f(NA)
+        return lhs, lhs
 
-        yield "implication", inputs, evaluate
-
-    return trial
+    yield "implication", {"M": M.entries, "N": N.entries, "A": A.entries}, evaluate
 
 
-def _det_factorization_trial(cfg):
-    def trial(dim, rng):
-        M = random_pd(dim, rng)
-        S = random_sl(dim, rng)
-        conjugated = congruence(M, S)
-        scalar = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
-
-        def evaluate_sl(f):
-            return f(conjugated), f(M)
-
-        def evaluate_scalar(f):
-            return f(M), f(scalar)
-
-        yield "sl_conjugation", {"M": M.entries, "S": S.entries}, evaluate_sl
-        yield "scalar_collapse", {"M": M.entries, "sI": scalar.entries}, evaluate_scalar
-
-    return trial
+def _det_factorization_trial(dim, rng):
+    M = random_pd(dim, rng)
+    S = random_sl(dim, rng)
+    conjugated = congruence(M, S)
+    scalar = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
+    yield "sl_conjugation", {"M": M.entries, "S": S.entries}, lambda f: (f(conjugated), f(M))
+    yield "scalar_collapse", {"M": M.entries, "sI": scalar.entries}, lambda f: (f(M), f(scalar))
 
 
-_TRIAL_BUILDERS = {
+_TRIALS = {
     "implication": _implication_trial,
     "orthogonal": _orthogonal_trial,
     "commutator": _commutator_trial,
@@ -328,38 +294,29 @@ _TRIAL_BUILDERS = {
 }
 
 
-def _check_many(costs, cfg: TrialConfig, check_name: str) -> list:
-    return _run_check_many(costs, cfg, check_name, _TRIAL_BUILDERS[check_name](cfg))
+def check(f: CostFunction, cfg: TrialConfig, name: str) -> InvarianceReport:
+    """Run one identity check for one cost; name is one of ALL_CHECKS.
 
-
-def check_orthogonal_property(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """f(A^T A) must equal f(Q^T A^T A Q) for orthogonal Q."""
-    return _check_many([f], cfg, "orthogonal")[0]
-
-
-def check_commutator_property(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """f(A^T B^T B A) must equal f(B^T A^T A B)."""
-    return _check_many([f], cfg, "commutator")[0]
-
-
-def check_svd_collapse(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """f(A^T B^T B A) must equal the value on the singular-value core:
-    with A = P1 L1 Q1 and B = P2 L2 Q2, compare against
-    f((L2 L1)^T L2 L1)."""
-    return _check_many([f], cfg, "svd_collapse")[0]
-
-
-def check_implication(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """The defining implication: f(M) = f(N) must force
-    f(A^T M A) = f(A^T N A)."""
-    return _check_many([f], cfg, "implication")[0]
+    - "implication", the defining one: f(M) = f(N) must force
+      f(A^T M A) = f(A^T N A);
+    - "orthogonal": f(A^T A) = f(Q^T A^T A Q) for orthogonal Q;
+    - "commutator": f(A^T B^T B A) = f(B^T A^T A B);
+    - "svd_collapse": with A = P1 L1 Q1 and B = P2 L2 Q2, f(A^T B^T B A)
+      equals f on the singular-value core (L2 L1)^T L2 L1;
+    - "det_factorization", two sub-checks per trial: SL congruence leaves
+      the value fixed (sl_conjugation), and the value agrees with the
+      scalar matrix s*I of equal determinant, s = exp(log_det(M)/n)
+      (scalar_collapse).
+    """
+    if name not in _TRIALS:
+        raise ValueError(f"unknown check {name!r}; expected one of {', '.join(ALL_CHECKS)}")
+    return _run_checks([f], cfg, name)[0]
 
 
 def check_det_factorization(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """Factorization through the determinant, two sub-checks per trial:
-    (i) SL congruence leaves the value fixed; (ii) the value agrees with
-    the scalar matrix s*I of equal determinant, s = exp(log_det(M)/n)."""
-    return _check_many([f], cfg, "det_factorization")[0]
+    """check(f, cfg, "det_factorization"), the precondition of kernel
+    estimation."""
+    return check(f, cfg, "det_factorization")
 
 
 def probe_scalar_surjectivity(f: CostFunction, cfg: TrialConfig) -> SurjectivityReport:
@@ -504,9 +461,9 @@ class SuiteReport:
 
 def run_all_checks(costs, cfg: TrialConfig) -> list:
     """All five identity checks for several costs over shared samples;
-    returns one merged InvarianceReport per cost, identical to what the
-    per-cost check functions would produce."""
-    per_check = [_check_many(list(costs), cfg, name) for name in ALL_CHECKS]
+    returns one merged InvarianceReport per cost, identical to what
+    check would produce for each cost and name."""
+    per_check = [_run_checks(list(costs), cfg, name) for name in ALL_CHECKS]
     merged = []
     for slot, f in enumerate(costs):
         checks = tuple(c for reports in per_check for c in reports[slot].checks)

@@ -113,11 +113,19 @@ def _denominator(h: int, normalization: str) -> int:
 
 def _covariance_stack(points: np.ndarray, subsets: np.ndarray, denom: int) -> np.ndarray:
     """Covariances of the index rows of an (m, h) array, each about its own
-    mean and symmetrized as (C + C^T)/2, as one (m, n, n) stack."""
+    mean and symmetrized as (C + C^T)/2, as one (m, n, n) stack.
+
+    Points are finite, so a non-finite covariance can only come from
+    float64 overflow; that raises ValueError instead of a numpy warning.
+    """
     rows = points[subsets]
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    cov = centered.transpose(0, 2, 1) @ centered / denom
-    return (cov + cov.transpose(0, 2, 1)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        cov = centered.transpose(0, 2, 1) @ centered / denom
+        stack = (cov + cov.transpose(0, 2, 1)) / 2.0
+    if not np.isfinite(stack).all():
+        raise ValueError("subset covariance overflows float64; matrix entries must be finite")
+    return stack
 
 
 def subset_covariance(dataset: Dataset, indices, normalization: str = "h") -> SymPosDefMatrix:

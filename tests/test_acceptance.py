@@ -30,8 +30,7 @@ from affinecost.groups import (
 )
 from affinecost.harness import (
     TrialConfig,
-    check_commutator_property,
-    check_det_factorization,
+    check,
     estimate_kernel,
     probe_scalar_surjectivity,
     run_all_checks,
@@ -89,13 +88,13 @@ def test_criterion_1_invariance_suite():
 def test_criterion_2_counterexample_power():
     with criterion(2, "controls fail exactly where they must"):
         trace_cfg = TrialConfig(dims=(2, 3), trials=100, master_seed=MASTER_SEED)
-        trace_report = check_commutator_property(TRACE_COST, trace_cfg)
+        trace_report = check(TRACE_COST, trace_cfg, "commutator")
         assert trace_report.checks[0].failures >= 1
         assert trace_report.counterexamples, "counterexample must be recorded"
         assert set(trace_report.counterexamples[0].inputs) == {"A", "B"}
 
         ident_cfg = TrialConfig(dims=(2,), trials=10, master_seed=MASTER_SEED)
-        ident_report = check_det_factorization(IDENTITY_COST, ident_cfg)
+        ident_report = check(IDENTITY_COST, ident_cfg, "det_factorization")
         by_name = {c.name: c for c in ident_report.checks}
         assert by_name["scalar_collapse"].failures == by_name["scalar_collapse"].trials_run
         first = [c for c in ident_report.counterexamples

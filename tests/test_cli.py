@@ -162,6 +162,19 @@ class TestMcdCommand:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_is_one_line_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        points = np.random.default_rng(3).standard_normal((8, 2)) * 1e200
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+        code = main(["mcd", "--input", str(path), "--h", "4"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "overflows" in captured.err
+        assert "matrix entries must be finite" in captured.err
+
 
 class TestDecomposeCommand:
     def test_identity_empty_output(self, tmp_path, capsys):
@@ -283,3 +296,15 @@ class TestUsage:
     def test_bad_dims(self, capsys):
         assert main(["check", "--cost", "det", "--dims", "zero"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["check", "kernel"])
+    def test_non_finite_tol_is_usage_error(self, command, tol, capsys):
+        # Every discrepancy is <= inf, and none is > nan: either would
+        # pass every check.
+        code = main([command, "--cost", "trace", "--dims", "2", "--trials", "20", "--tol", tol])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "rel_tol must be finite and positive" in captured.err

@@ -1,16 +1,15 @@
 import json
+import math
 
 import pytest
 
 from affinecost.cost import DET_COST, IDENTITY_COST, TRACE_COST, KernelSpec, factored_cost
 from affinecost.harness import (
+    ALL_CHECKS,
     TrialConfig,
     UnrecognizedKernelError,
-    check_commutator_property,
+    check,
     check_det_factorization,
-    check_implication,
-    check_orthogonal_property,
-    check_svd_collapse,
     estimate_kernel,
     probe_scalar_surjectivity,
     run_all_checks,
@@ -37,8 +36,9 @@ class TestTrialConfig:
             TrialConfig(dims=(0,))
         with pytest.raises(ValueError, match="trials"):
             TrialConfig(trials=0)
-        with pytest.raises(ValueError, match="rel_tol"):
-            TrialConfig(rel_tol=0.0)
+        for bad in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rel_tol"):
+                TrialConfig(rel_tol=bad)
 
 
 class TestFactoringCostsPass:
@@ -46,10 +46,8 @@ class TestFactoringCostsPass:
                              ids=lambda c: c.name)
     def test_all_checks_zero_failures(self, cost):
         cfg = small_cfg()
-        for check in (check_implication, check_orthogonal_property,
-                      check_commutator_property, check_svd_collapse,
-                      check_det_factorization):
-            report = check(cost, cfg)
+        for name in ALL_CHECKS:
+            report = check(cost, cfg, name)
             assert report.verdict == "pass"
             assert all(c.failures == 0 for c in report.checks)
 
@@ -62,12 +60,12 @@ class TestFactoringCostsPass:
 
 class TestTraceControl:
     def test_orthogonal_conjugation_alone_cannot_reject(self):
-        report = check_orthogonal_property(TRACE_COST, small_cfg())
+        report = check(TRACE_COST, small_cfg(), "orthogonal")
         assert report.verdict == "pass"
 
     def test_commutator_counterexample_within_100_trials(self):
         cfg = TrialConfig(dims=(2,), trials=100, master_seed=11)
-        report = check_commutator_property(TRACE_COST, cfg)
+        report = check(TRACE_COST, cfg, "commutator")
         assert report.checks[0].failures >= 1
         assert report.counterexamples
         first = report.counterexamples[0]
@@ -75,23 +73,23 @@ class TestTraceControl:
 
     def test_svd_collapse_counterexample_within_100_trials(self):
         cfg = TrialConfig(dims=(2,), trials=100, master_seed=11)
-        report = check_svd_collapse(TRACE_COST, cfg)
+        report = check(TRACE_COST, cfg, "svd_collapse")
         assert report.checks[0].failures >= 1
 
     def test_implication_vacuous_pairs_pass(self):
-        report = check_implication(TRACE_COST, small_cfg())
+        report = check(TRACE_COST, small_cfg(), "implication")
         assert report.verdict == "pass"
 
 
 class TestIdentityControl:
     def test_implication_passes(self):
         cfg = TrialConfig(dims=(2, 3), trials=50, master_seed=11)
-        report = check_implication(IDENTITY_COST, cfg)
+        report = check(IDENTITY_COST, cfg, "implication")
         assert report.verdict == "pass"
 
     def test_scalar_collapse_fails_first_nonscalar_sample(self):
         cfg = TrialConfig(dims=(2,), trials=5, master_seed=11)
-        report = check_det_factorization(IDENTITY_COST, cfg)
+        report = check(IDENTITY_COST, cfg, "det_factorization")
         by_name = {c.name: c for c in report.checks}
         assert by_name["scalar_collapse"].failures == 5
         first = [c for c in report.counterexamples if c.check_name == "scalar_collapse"][0]
@@ -135,14 +133,14 @@ class TestKernelEstimation:
 
 class TestReports:
     def test_verdict_reflects_failures(self):
-        ok = check_orthogonal_property(DET_COST, small_cfg())
-        bad = check_commutator_property(TRACE_COST, small_cfg(dims=(2,), trials=20))
+        ok = check(DET_COST, small_cfg(), "orthogonal")
+        bad = check(TRACE_COST, small_cfg(dims=(2,), trials=20), "commutator")
         assert ok.verdict == "pass"
         assert bad.verdict == "fail"
 
     def test_counterexample_inputs_round_trip(self):
         cfg = TrialConfig(dims=(2,), trials=20, master_seed=3)
-        report = check_commutator_property(TRACE_COST, cfg)
+        report = check(TRACE_COST, cfg, "commutator")
         example = report.counterexamples[0]
         for text in example.inputs.values():
             matrix = parse_matrix(text)
@@ -155,8 +153,8 @@ class TestReports:
         assert json.dumps(first) == json.dumps(second)
 
     def test_seed_changes_streams(self):
-        a = check_orthogonal_property(DET_COST, small_cfg(trials=5)).checks[0]
-        b = check_orthogonal_property(DET_COST, small_cfg(trials=5, master_seed=12)).checks[0]
+        a = check(DET_COST, small_cfg(trials=5), "orthogonal").checks[0]
+        b = check(DET_COST, small_cfg(trials=5, master_seed=12), "orthogonal").checks[0]
         assert a.worst_discrepancy != b.worst_discrepancy
 
     def test_multi_cost_runner_matches_single(self):
@@ -164,15 +162,20 @@ class TestReports:
         costs = [DET_COST, QDET_HALF, TRACE_COST]
         merged = run_all_checks(costs, cfg)
         for f, report in zip(costs, merged):
-            singles = [
-                check_implication(f, cfg),
-                check_orthogonal_property(f, cfg),
-                check_commutator_property(f, cfg),
-                check_svd_collapse(f, cfg),
-                check_det_factorization(f, cfg),
-            ]
+            singles = [check(f, cfg, name) for name in ALL_CHECKS]
             expected = tuple(c for r in singles for c in r.checks)
             assert report.checks == expected
+            examples = tuple(e for r in singles for e in r.counterexamples)
+            assert report.counterexamples == examples
+
+    def test_det_factorization_wrapper_matches_check(self):
+        cfg = small_cfg(trials=5)
+        for f in (DET_COST, IDENTITY_COST):
+            assert check_det_factorization(f, cfg) == check(f, cfg, "det_factorization")
+
+    def test_unknown_check_name(self):
+        with pytest.raises(ValueError, match="unknown check 'sqrt'"):
+            check(DET_COST, small_cfg(), "sqrt")
 
     def test_suite_verdict_includes_probe(self):
         cfg = TrialConfig(dims=(2,), trials=10, master_seed=11)

@@ -265,10 +265,11 @@ class TestChunkedParity:
         lone = DET_COST(subset_covariance(data, result.subset))
         assert result.cost_value.canonical == lone.canonical
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_raises(self):
-        # Covariance entries near 1e400 overflow to inf: the stacked gate
-        # must raise like SymPosDefMatrix, not count the subsets degenerate.
+        # Covariance entries near 1e400 overflow to inf: the stack must
+        # raise like SymPosDefMatrix, not count the subsets degenerate, and
+        # without a numpy overflow warning.
         data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * 1e200)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             mcd_estimate(data, 4, DET_COST)
