@@ -119,8 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output) -> None:
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -7,6 +7,10 @@ lattice kernel with log-constant a gives the quantized determinant cost
 the family: the trace (not affine invariant) and the identity map on
 matrices (affine invariant, but its values do not reduce to a scalar).
 
+Each cost is a float map value(entries, log_det): factoring costs read
+only the log-determinant, controls only the entries. MCD ranks batched
+log-dets through the map; calling a cost on a matrix gives a CostValue.
+
 Cost values carry a canonical real representative plus a class tag;
 equality is tolerance-aware and only defined between values of the same
 tag. Identity-cost values compare by their underlying matrices instead of
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,24 +63,11 @@ class CostValue:
     payload: Optional[np.ndarray] = None
 
 
-def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL) -> bool:
-    """Tolerance-aware equality; comparing different classes is an error."""
-    if u.class_tag != v.class_tag:
-        raise ValueError(
-            f"cost values of class {u.class_tag!r} and {v.class_tag!r} are not comparable"
-        )
-    if u.payload is not None:
-        return float(np.abs(u.payload - v.payload).max()) <= IDENTITY_ENTRY_TOL
-    return abs(u.canonical - v.canonical) <= rel_tol * max(
-        1.0, abs(u.canonical), abs(v.canonical)
-    )
-
-
 def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
-    """Scalar mismatch measure used for worst-case reporting.
+    """Scalar mismatch measure, held to value_tolerance by every equality.
 
-    For scalar-valued costs this is the relative difference, directly
-    comparable to a relative tolerance; for matrix-valued costs it is the
+    For scalar-valued costs this is |u - v| / max(1, |u|, |v|): relative
+    above 1 and absolute below it. For matrix-valued costs it is the
     largest entry difference.
     """
     if u.class_tag != v.class_tag:
@@ -85,6 +77,17 @@ def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
     if u.payload is not None:
         return float(np.abs(u.payload - v.payload).max())
     return abs(u.canonical - v.canonical) / max(1.0, abs(u.canonical), abs(v.canonical))
+
+
+def value_tolerance(u: CostValue, rel_tol: float) -> float:
+    """The bound cost_value_discrepancy is held to: rel_tol, except that
+    matrix-valued (identity) costs compare entrywise at IDENTITY_ENTRY_TOL."""
+    return IDENTITY_ENTRY_TOL if u.payload is not None else rel_tol
+
+
+def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL) -> bool:
+    """Tolerance-aware equality; comparing different classes is an error."""
+    return cost_value_discrepancy(u, v) <= value_tolerance(u, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -118,33 +121,48 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Named map from SymPosDefMatrix to CostValue.
+    """Named cost: a float map value(entries, log_det) plus a class tag.
 
-    kernel is set for the factoring family and None for control functions.
-    Evaluation is pure and defined for every dimension n >= 1.
+    Factoring costs (kernel set) read only log_det; the controls (kernel
+    None) read only entries. compares_entries marks costs whose values
+    compare by their matrices rather than by the float. Evaluation is
+    pure and defined for every dimension n >= 1.
     """
 
     name: str
-    evaluate: Callable[[SymPosDefMatrix], CostValue]
+    tag: str
+    value: Callable[[np.ndarray, float], float]
     kernel: Optional[KernelSpec] = None
+    compares_entries: bool = False
 
     def __call__(self, M: SymPosDefMatrix) -> CostValue:
-        return self.evaluate(M)
+        # Controls never read the log-det, so they skip its Cholesky.
+        ld = log_det(M) if self.kernel is not None else math.nan
+        payload = M.entries if self.compares_entries else None
+        return CostValue(self.value(M.entries, ld), self.tag, payload)
 
 
-def det_cost(M: SymPosDefMatrix) -> CostValue:
-    return CostValue(math.exp(log_det(M)), "det")
+def _det(entries, ld: float) -> float:
+    # Below the normal range every determinant would round to 0.0 or a
+    # subnormal and tie; above it exp overflows.
+    try:
+        value = math.exp(ld)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise ValueError(f"determinant exp({ld:.6g}) is outside the positive normal "
+                         f"float64 range [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]")
+    return value
 
 
 def quantize_log2_det(d: float, a: float) -> tuple:
     """Fold a log2 determinant d into [1, 2**a): returns (k, canonical)
     with k the unique integer putting 2**(a*k + d) in the interval.
 
-    Values of d/a within QUANT_BOUNDARY_SNAP of an integer snap to it, so
-    determinants sitting on a lattice point fold to the lower edge 1.
+    a > 0, as KernelSpec enforces. Values of d/a within
+    QUANT_BOUNDARY_SNAP of an integer snap to it, so determinants sitting
+    on a lattice point fold to the lower edge 1.
     """
-    if a <= 0.0:
-        raise ValueError(f"quantization constant must be positive, got {a}")
     r = d / a
     nearest = round(r)
     if abs(r - nearest) <= QUANT_BOUNDARY_SNAP:
@@ -154,47 +172,30 @@ def quantize_log2_det(d: float, a: float) -> tuple:
     return k, 2.0 ** (a * k + d)
 
 
-def _qdet_tag(a: float) -> str:
-    return f"qdet:{a:.17g}"
+def _trace(entries, ld: float) -> float:
+    return float(np.trace(entries))
 
 
-def quantized_det_cost(M: SymPosDefMatrix, a: float) -> CostValue:
-    _, canonical = quantize_log2_det(log_det(M) / _LN2, a)
-    return CostValue(canonical, _qdet_tag(a))
-
-
-def identity_cost(M: SymPosDefMatrix) -> CostValue:
-    """The identity map, packaged as a cost value.
-
-    The canonical real is a collision-resistant fingerprint of the raw
-    entries; equality goes through the stored matrix, entrywise.
-    """
-    digest = hashlib.blake2b(M.entries.tobytes(), digest_size=8).digest()
-    fingerprint = float(int.from_bytes(digest, "big"))
-    return CostValue(fingerprint, "identity", payload=M.entries)
-
-
-def trace_cost(M: SymPosDefMatrix) -> CostValue:
-    """Trace of M; a control function that is not affine invariant."""
-    return CostValue(float(np.trace(M.entries)), "trace")
+def _fingerprint(entries, ld: float) -> float:
+    # Collision-resistant digest of the raw entries; equality of identity
+    # values goes through the stored matrix, entrywise.
+    digest = hashlib.blake2b(entries.tobytes(), digest_size=8).digest()
+    return float(int.from_bytes(digest, "big"))
 
 
 def factored_cost(kernel: KernelSpec) -> CostFunction:
     """Cost function determined by a kernel: trivial -> determinant,
     lattice(a) -> quantized determinant with constant a."""
     if kernel.variant == TRIVIAL:
-        return CostFunction("det", det_cost, kernel)
+        return CostFunction("det", "det", _det, kernel)
     a = kernel.a
-
-    def evaluate(M: SymPosDefMatrix) -> CostValue:
-        return quantized_det_cost(M, a)
-
-    return CostFunction(f"qdet:{a:g}", evaluate, kernel)
+    return CostFunction(f"qdet:{a:g}", f"qdet:{a:.17g}",
+                        lambda entries, ld: quantize_log2_det(ld / _LN2, a)[1], kernel)
 
 
 DET_COST = factored_cost(KernelSpec.trivial())
-IDENTITY_COST = CostFunction("identity", identity_cost)
-TRACE_COST = CostFunction("trace", trace_cost)
+IDENTITY_COST = CostFunction("identity", "identity", _fingerprint, compares_entries=True)
+TRACE_COST = CostFunction("trace", "trace", _trace)
 
 
 def cost_from_selector(selector: str) -> CostFunction:
@@ -212,8 +213,6 @@ def cost_from_selector(selector: str) -> CostFunction:
             a = float(raw)
         except ValueError:
             raise ValueError(f"invalid quantization constant {raw!r} in {selector!r}") from None
-        if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(f"quantization constant must be positive, got {raw!r}")
         return factored_cost(KernelSpec.lattice(a))
     raise ValueError(
         f"unknown cost selector {selector!r}; expected det, qdet:<a>, trace or identity"

@@ -24,12 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (
-    IDENTITY_ENTRY_TOL,
-    CostFunction,
-    cost_value_discrepancy,
-    cost_values_match,
-)
+from .cost import CostFunction, cost_value_discrepancy, cost_values_match, value_tolerance
 from .linalg import (
     SymPosDefMatrix,
     congruence,
@@ -184,11 +179,6 @@ def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.ra
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _tol(value, rel_tol: float) -> float:
-    # Matrix-valued (identity) costs compare entrywise, at a fixed tolerance.
-    return IDENTITY_ENTRY_TOL if value.payload is not None else rel_tol
-
-
 def _run_checks(costs, cfg: TrialConfig, check_name: str) -> list:
     """Drive one identity check for several costs over shared samples.
 
@@ -212,7 +202,7 @@ def _run_checks(costs, cfg: TrialConfig, check_name: str) -> list:
                     disc = cost_value_discrepancy(lhs, rhs)
                     runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
                     runs += 1
-                    if disc > _tol(lhs, cfg.rel_tol):
+                    if disc > value_tolerance(lhs, cfg.rel_tol):
                         fails += 1
                         if len(examples[slot]) < MAX_COUNTEREXAMPLES:
                             serialized = {k: format_matrix(v) for k, v in inputs.items()}
@@ -268,8 +258,7 @@ def _implication_trial(dim, rng, rel_tol):
         # factoring costs) and an exact copy of M otherwise; rejection
         # sampling on equality of reals would never terminate.
         lhs = f(MA)
-        vM = f(M)
-        if cost_value_discrepancy(vM, f(N)) <= _tol(vM, rel_tol):
+        if cost_values_match(f(M), f(N), rel_tol):
             return lhs, f(NA)
         return lhs, lhs
 

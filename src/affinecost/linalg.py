@@ -86,14 +86,6 @@ class SymPosDefMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def _gated(cls, entries: np.ndarray, log_det: float) -> "SymPosDefMatrix":
-        # For read-only entries that already passed gate_stack: skips the
-        # gate and fills the cached log-det.
-        M = object.__new__(cls)
-        M.__dict__.update(entries=entries, _log_det=log_det)
-        return M
-
     @cached_property
     def _log_det(self) -> float:
         # Instances are immutable, so the Cholesky factorization runs at
@@ -124,23 +116,19 @@ def _passes_pd_gate(smallest, largest):
     return (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
 
 
-def gate_stack(stack: np.ndarray) -> list:
+def gate_stack(stack: np.ndarray) -> tuple:
     """SymPosDefMatrix's gate over an (m, n, n) stack, by one batched
     eigvalsh, with log-dets from one batched Cholesky.
 
     The stack must be finite and exactly symmetric, as (C + C^T)/2 of a
-    finite C is, so neither is checked again. Returns (position, matrix)
-    for each passing matrix in stack order; the matrices view the stack,
-    which becomes read-only, and their batched log-dets may differ from
-    log_det's by an ulp.
+    finite C is, so neither is checked again. Returns (positions,
+    log_dets): the stack positions of the passing matrices in order, and
+    their log-dets, which may differ from log_det's by an ulp.
     """
     eigenvalues = np.linalg.eigvalsh(stack)
     positions = np.flatnonzero(_passes_pd_gate(eigenvalues[:, 0], eigenvalues[:, -1]))
-    stack.setflags(write=False)
     chol = np.linalg.cholesky(stack[positions])
-    log_dets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    return [(j, SymPosDefMatrix._gated(stack[j], ld))
-            for j, ld in zip(positions.tolist(), log_dets.tolist())]
+    return positions, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,12 @@ of scope and a combinatorial guard keeps runs at desk scale.
 Subsets are scored in lexicographic chunks of CHUNK_SUBSETS: each chunk's
 covariances are built as one stack, which one batched eigvalsh passes
 through SymPosDefMatrix's gate and one batched Cholesky gives log-dets.
-The cost then scores every passing covariance in order, under the same
-tie band as a one-subset-at-a-time scan, so the argmin and its tie rule
-(the lexicographically smallest subset within COST_REL_TOL wins) do not
-depend on the chunking. The reported cost is evaluated again on
+The float map f.value(entries, log_det) then scores each passing
+covariance in order, with no per-subset matrix or cost value. A later
+subset wins only when lower by more than COST_REL_TOL * max(|best|,
+|value|), so the lexicographically smallest subset wins ties whatever the
+chunking, and scaling the data (every determinant by one factor) keeps
+the winner. The reported cost is evaluated again on
 subset_covariance(best), so it is exactly what a lone evaluation gives.
 
 With the determinant cost the estimator is affine equivariant:
@@ -27,7 +29,6 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Optional
 
 import numpy as np
 
@@ -155,9 +156,9 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction,
     """Exhaustive minimum-cost-covariance estimate.
 
     Enumerates all h-subsets in lexicographic order, skips degenerate
-    ones, and minimizes the canonical real of f(subset covariance). Ties
-    within COST_REL_TOL keep the lexicographically smallest subset. The
-    reported cost is f(subset_covariance(dataset, best)).
+    ones, and minimizes f.value over subset covariances. Ties within the
+    relative band COST_REL_TOL keep the lexicographically smallest subset.
+    The reported cost is f(subset_covariance(dataset, best)).
     """
     k, n = dataset.k, dataset.n
     if not (n + 1 <= h <= k):
@@ -166,23 +167,18 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction,
     if total > MAX_SUBSETS:
         raise ValueError(f"C({k}, {h}) = {total} subsets exceeds the {MAX_SUBSETS} guard")
     denom = _denominator(h, normalization)
-    best_subset = None
-    best_value: Optional[CostValue] = None
+    best_subset = best = None
     degenerate = 0
     subsets = combinations(range(k), h)
     while chunk := list(islice(subsets, CHUNK_SUBSETS)):
-        passing = gate_stack(_covariance_stack(dataset.points, np.array(chunk), denom))
-        degenerate += len(chunk) - len(passing)
-        for j, cov in passing:
-            value = f(cov)
-            if best_value is None:
-                best_subset, best_value = chunk[j], value
-                continue
-            gap = best_value.canonical - value.canonical
-            tie_band = COST_REL_TOL * max(1.0, abs(best_value.canonical), abs(value.canonical))
-            if gap > tie_band:
-                best_subset, best_value = chunk[j], value
-    if best_value is None:
+        stack = _covariance_stack(dataset.points, np.array(chunk), denom)
+        positions, log_dets = gate_stack(stack)
+        degenerate += len(chunk) - len(positions)
+        for j, ld in zip(positions.tolist(), log_dets.tolist()):
+            value = f.value(stack[j], ld)
+            if best_subset is None or best - value > COST_REL_TOL * max(abs(best), abs(value)):
+                best_subset, best = chunk[j], value
+    if best_subset is None:
         raise ValueError("every subset is degenerate; no estimate exists")
     return EstimateResult(
         mean=subset_mean(dataset, best_subset),

@@ -175,6 +175,19 @@ class TestMcdCommand:
         assert "overflows" in captured.err
         assert "matrix entries must be finite" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-100])
+    def test_determinant_outside_float64_range_is_one_line_input_error(
+            self, scale, tmp_path, capsys):
+        path = tmp_path / "scaled.csv"
+        points = np.random.default_rng(3).standard_normal((8, 2)) * scale
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+        code = main(["mcd", "--input", str(path), "--h", "4"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "float64 range" in captured.err
+
 
 class TestDecomposeCommand:
     def test_identity_empty_output(self, tmp_path, capsys):
@@ -308,3 +321,17 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "rel_tol must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("argv,target", [
+        (["commutator", "--n", "2", "--i", "1", "--j", "2", "--lambda", "3"], "missing/x.txt"),
+        (["check", "--cost", "det", "--dims", "1", "--trials", "2"], "."),
+        (["kernel", "--cost", "det", "--dims", "1", "--trials", "2"], "missing/x.txt"),
+    ], ids=["commutator-missing-dir", "check-directory", "kernel-missing-dir"])
+    def test_unwritable_output_is_usage_error(self, argv, target, tmp_path, capsys):
+        output = str(tmp_path / target)
+        code = main([*argv, "--output", output])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"cannot write {output}" in captured.err

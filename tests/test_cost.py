@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from affinecost.cost import (
     COST_REL_TOL,
     DET_COST,
+    IDENTITY_COST,
+    TRACE_COST,
     CostValue,
     KernelSpec,
     cost_from_selector,
     cost_value_discrepancy,
     cost_values_match,
-    det_cost,
     factored_cost,
-    identity_cost,
     quantize_log2_det,
-    quantized_det_cost,
-    trace_cost,
 )
 from affinecost.linalg import (
     InvertibleMatrix,
@@ -34,18 +32,31 @@ from _oracles import enumerate_quantizer
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
+def qdet(a):
+    return factored_cost(KernelSpec.lattice(a))
+
+
 class TestDetCost:
     def test_identity(self):
-        assert det_cost(SymPosDefMatrix.identity(3)).canonical == pytest.approx(1.0, abs=1e-14)
+        assert DET_COST(SymPosDefMatrix.identity(3)).canonical == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_product(self):
-        assert det_cost(SymPosDefMatrix.diagonal([2.0, 3.0])).canonical == pytest.approx(6.0, rel=1e-12)
+        assert DET_COST(SymPosDefMatrix.diagonal([2.0, 3.0])).canonical == pytest.approx(6.0, rel=1e-12)
 
     @given(seed=seeds, n=st.integers(min_value=1, max_value=5))
     def test_sl_congruence_invariance(self, seed, n):
         M = random_pd(n, seed)
         S = random_sl(n, seed + 7)
-        assert cost_values_match(det_cost(M), det_cost(congruence(M, S)))
+        assert cost_values_match(DET_COST(M), DET_COST(congruence(M, S)))
+
+    @pytest.mark.parametrize("s", [1e-160, 1e160])
+    def test_value_outside_float64_range_raises(self, s):
+        # det = s**2 is subnormal (1e-320) or overflows (1e320); the
+        # folded cost reads the same log-det and stays in range.
+        M = SymPosDefMatrix.scalar(2, s)
+        with pytest.raises(ValueError, match="float64 range"):
+            DET_COST(M)
+        assert 1.0 <= qdet(1.0)(M).canonical < 2.0
 
 
 class TestLogDetReuse:
@@ -75,7 +86,7 @@ class TestQuantizedDetCost:
             k, canonical = quantize_log2_det(0.0, a)
             assert k == 0
             assert canonical == 1.0
-            v = quantized_det_cost(SymPosDefMatrix.identity(4), a)
+            v = qdet(a)(SymPosDefMatrix.identity(4))
             assert v.canonical == pytest.approx(1.0, abs=1e-12)
 
     def test_det_six_a_one(self):
@@ -85,7 +96,7 @@ class TestQuantizedDetCost:
         k, canonical = quantize_log2_det(math.log2(6.0), 1.0)
         assert k == k_expect
         assert canonical == pytest.approx(folded_expect, rel=1e-12)
-        v = quantized_det_cost(SymPosDefMatrix.diagonal([6.0]), 1.0)
+        v = qdet(1.0)(SymPosDefMatrix.diagonal([6.0]))
         assert v.canonical == pytest.approx(1.5, rel=1e-12)
 
     def test_det_half_a_two(self):
@@ -112,7 +123,7 @@ class TestQuantizedDetCost:
             hi = 2.0 ** a
             for trial in range(10_000):
                 n = 1 + trial % 5
-                v = quantized_det_cost(random_pd(n, trial), a)
+                v = qdet(a)(random_pd(n, trial))
                 assert 1.0 <= v.canonical < hi
 
     def test_boundary_snaps_to_lower_edge(self):
@@ -132,13 +143,14 @@ class TestQuantizedDetCost:
                     M = random_pd(n, 400 + seed)
                     shift = InvertibleMatrix(2.0 ** (a * j / (2 * n)) * np.eye(n))
                     shifted = congruence(M, shift)
-                    u = quantized_det_cost(M, a)
-                    v = quantized_det_cost(shifted, a)
+                    u = qdet(a)(M)
+                    v = qdet(a)(shifted)
                     assert cost_values_match(u, v)
 
     def test_rejects_nonpositive_constant(self):
-        with pytest.raises(ValueError, match="positive"):
-            quantized_det_cost(SymPosDefMatrix.identity(2), 0.0)
+        for a in (0.0, -1.0):
+            with pytest.raises(ValueError, match="requires a > 0"):
+                qdet(a)(SymPosDefMatrix.identity(2))
 
 
 class TestFactoredCost:
@@ -146,7 +158,7 @@ class TestFactoredCost:
         f = factored_cost(KernelSpec.trivial())
         for seed in range(10):
             M = random_pd(3, seed)
-            assert cost_values_match(f(M), det_cost(M))
+            assert cost_values_match(f(M), DET_COST(M))
 
     def test_lattice_dispatch(self):
         f = factored_cost(KernelSpec.lattice(1.0))
@@ -188,16 +200,16 @@ class TestFactoredCost:
 class TestIdentityCost:
     def test_reflexive(self):
         M = random_pd(3, 1)
-        assert cost_values_match(identity_cost(M), identity_cost(M))
+        assert cost_values_match(IDENTITY_COST(M), IDENTITY_COST(M))
 
     def test_distinct_matrices_differ(self):
-        u = identity_cost(SymPosDefMatrix.identity(2))
-        v = identity_cost(SymPosDefMatrix.scalar(2, 2.0))
+        u = IDENTITY_COST(SymPosDefMatrix.identity(2))
+        v = IDENTITY_COST(SymPosDefMatrix.scalar(2, 2.0))
         assert not cost_values_match(u, v)
 
     def test_equivalence_relation_on_samples(self):
-        values = [identity_cost(random_pd(3, seed)) for seed in range(8)]
-        copies = [identity_cost(random_pd(3, seed)) for seed in range(8)]
+        values = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
+        copies = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
         for i, u in enumerate(values):
             assert cost_values_match(u, copies[i])
             assert cost_values_match(copies[i], u)
@@ -205,35 +217,35 @@ class TestIdentityCost:
                 if i != j:
                     assert not cost_values_match(u, v)
         # transitivity across the exact-copy chain
-        third = [identity_cost(random_pd(3, seed)) for seed in range(8)]
+        third = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
         for a, b, c in zip(values, copies, third):
             assert cost_values_match(a, b) and cost_values_match(b, c) and cost_values_match(a, c)
 
     def test_fingerprint_is_deterministic(self):
         M = random_pd(4, 9)
-        assert identity_cost(M).canonical == identity_cost(M).canonical
+        assert IDENTITY_COST(M).canonical == IDENTITY_COST(M).canonical
 
 
 class TestTraceCost:
     def test_identity(self):
-        assert trace_cost(SymPosDefMatrix.identity(3)).canonical == 3.0
+        assert TRACE_COST(SymPosDefMatrix.identity(3)).canonical == 3.0
 
     def test_diagonal(self):
-        assert trace_cost(SymPosDefMatrix.diagonal([2.0, 3.0])).canonical == 5.0
+        assert TRACE_COST(SymPosDefMatrix.diagonal([2.0, 3.0])).canonical == 5.0
 
 
 class TestCostValueComparison:
     def test_mismatched_tags_raise(self):
         M = SymPosDefMatrix.identity(2)
         with pytest.raises(ValueError, match="not comparable"):
-            cost_values_match(det_cost(M), trace_cost(M))
+            cost_values_match(DET_COST(M), TRACE_COST(M))
         with pytest.raises(ValueError, match="not comparable"):
-            cost_value_discrepancy(det_cost(M), identity_cost(M))
+            cost_value_discrepancy(DET_COST(M), IDENTITY_COST(M))
 
     def test_distinct_quantization_constants_do_not_compare(self):
         M = SymPosDefMatrix.diagonal([6.0])
         with pytest.raises(ValueError, match="not comparable"):
-            cost_values_match(quantized_det_cost(M, 1.0), quantized_det_cost(M, 2.0))
+            cost_values_match(qdet(1.0)(M), qdet(2.0)(M))
 
     def test_relative_tolerance(self):
         u = CostValue(100.0, "det")
@@ -241,6 +253,11 @@ class TestCostValueComparison:
         w = CostValue(100.0 * (1 + 5e-8), "det")
         assert cost_values_match(u, v, COST_REL_TOL)
         assert not cost_values_match(u, w, COST_REL_TOL)
+
+    def test_absolute_below_one(self):
+        # The band is rel_tol * max(1, |u|, |v|), so below 1 it is absolute.
+        assert cost_values_match(CostValue(1e-9, "det"), CostValue(5e-9, "det"))
+        assert cost_value_discrepancy(CostValue(0.5, "det"), CostValue(0.25, "det")) == 0.25
 
 
 class TestKernelSpec:

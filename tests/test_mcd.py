@@ -202,7 +202,7 @@ def reference_mcd(dataset, h, f, normalization="h"):
             best_subset, best_value = subset, value
             continue
         gap = best_value.canonical - value.canonical
-        if gap > COST_REL_TOL * max(1.0, abs(best_value.canonical), abs(value.canonical)):
+        if gap > COST_REL_TOL * max(abs(best_value.canonical), abs(value.canonical)):
             best_subset, best_value = subset, value
     return best_subset, best_value, examined, degenerate
 
@@ -264,6 +264,24 @@ class TestChunkedParity:
         assert result.subset == (0, 1, 2, 5)
         lone = DET_COST(subset_covariance(data, result.subset))
         assert result.cost_value.canonical == lone.canonical
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-3])
+    def test_winner_is_scale_invariant(self, scale):
+        # Scaling the data scales every determinant by scale**4, so the
+        # relative tie band keeps the winner; a band absolute below 1
+        # would tie small determinants and pick the first subset.
+        points = np.random.default_rng(3).standard_normal((10, 2))
+        assert mcd_estimate(Dataset(points), 5, DET_COST).subset == (2, 5, 7, 8, 9)
+        assert mcd_estimate(Dataset(points * scale), 5, DET_COST).subset == (2, 5, 7, 8, 9)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-100])
+    def test_determinant_outside_float64_range_raises(self, scale):
+        # Determinants near 1e1200 overflow and near 1e-800 underflow to
+        # 0.0, where every subset would tie.
+        data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * scale)
+        with pytest.raises(ValueError, match="float64 range"):
+            mcd_estimate(data, 4, DET_COST)
+        assert mcd_estimate(data, 4, factored_cost(KernelSpec.lattice(1.0))).subsets_examined == 70
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_raises(self):
