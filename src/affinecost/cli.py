@@ -36,7 +36,7 @@ from .harness import (
     probe_scalar_surjectivity,
     run_invariance_suite,
 )
-from .linalg import InvertibleMatrix, SamplerExhaustedError, format_matrix, parse_matrix
+from .linalg import MAX_DIM, InvertibleMatrix, SamplerExhaustedError, format_matrix, parse_matrix
 from .mcd import mcd_estimate, parse_dataset_csv
 
 EXIT_PASS = 0
@@ -56,19 +56,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_dims(text: str) -> tuple:
-    """Accept "3", "2,3,4" or "1..6"."""
+    """Accept "3", "2,3,4" or "1..6"; every dimension in [1, MAX_DIM]."""
     text = text.strip()
+    span = ".." in text
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            dims = tuple(range(int(lo), int(hi) + 1))
-        elif "," in text:
-            dims = tuple(int(tok) for tok in text.split(","))
-        else:
-            dims = (int(text),)
+        ends = tuple(int(tok) for tok in (text.split("..", 1) if span else text.split(",")))
     except ValueError:
         raise ValueError(f"invalid dimension list {text!r}") from None
-    if not dims or any(d < 1 for d in dims):
+    # Bounded before a range is built from them.
+    if any(not 1 <= d <= MAX_DIM for d in ends):
+        raise ValueError(f"dimensions must be in [1, {MAX_DIM}], got {text!r}")
+    dims = tuple(range(ends[0], ends[1] + 1)) if span else ends
+    if not dims:
         raise ValueError(f"invalid dimension list {text!r}")
     return dims
 

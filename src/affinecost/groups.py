@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import COST_REL_TOL, CostFunction, cost_values_match
-from .linalg import InvertibleMatrix, SymPosDefMatrix, congruence
+from .linalg import MAX_DIM, InvertibleMatrix, SymPosDefMatrix, congruence
 
 SL_DET_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -37,8 +37,8 @@ class ElementaryMatrix:
     scale: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("elementary matrices need n >= 2")
+        if not 2 <= self.n <= MAX_DIM:
+            raise ValueError(f"elementary matrices need 2 <= n <= {MAX_DIM}, got {self.n}")
         if not (0 <= self.row < self.n and 0 <= self.col < self.n):
             raise ValueError(f"indices out of range for n = {self.n}")
         if self.row == self.col:

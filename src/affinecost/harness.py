@@ -5,9 +5,10 @@ the commutator equality, the SVD collapse, and determinant factorization),
 a scalar surjectivity probe, and kernel estimation. check(f, cfg, name)
 runs one identity check, named as in ALL_CHECKS, for one cost, and
 run_all_checks runs all five for several costs over shared samples.
-The probe tries one candidate per sample, the scalar matrix of equal
-determinant, which covers every sample of a cost that factors through
-the determinant.
+The probe runs through the same trial runner and tries one candidate per
+sample, the scalar matrix of equal determinant, which covers every sample
+of a cost that factors through the determinant. Kernel estimation reads
+the cost's value map on log-determinants and builds no matrix.
 Every check samples matrices through per-trial seeds split off a master
 seed, so a report is a deterministic function of its TrialConfig alone
 and independent of execution order. Failures are data, not errors: they
@@ -24,7 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import CostFunction, cost_value_discrepancy, cost_values_match, value_tolerance
+from .cost import (
+    CostFunction,
+    CostValue,
+    cost_value_discrepancy,
+    cost_values_match,
+    value_tolerance,
+)
 from .linalg import (
     SymPosDefMatrix,
     congruence,
@@ -179,37 +186,40 @@ def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.ra
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _run_checks(costs, cfg: TrialConfig, check_name: str) -> list:
-    """Drive one identity check for several costs over shared samples.
+def _run_checks(costs, cfg: TrialConfig, names) -> list:
+    """Drive the named trial kinds for several costs over shared samples;
+    returns one InvarianceReport per cost, its checks in names order.
 
     Each trial yields (sub_name, inputs, evaluate) tuples, where inputs
     maps names to raw arrays (serialized only on failure) and evaluate(f)
     produces the (lhs, rhs) cost values. Sharing the sampled matrices
-    across costs changes nothing in any single report: trial streams
-    depend only on (master_seed, check, dim, trial).
+    across costs and kinds changes nothing in any single report: trial
+    streams depend only on (master_seed, kind, dim, trial), and each kind
+    keeps at most MAX_COUNTEREXAMPLES counterexamples per cost.
     """
-    trial_fn = _TRIALS[check_name]
-    extra = (cfg.rel_tol,) if check_name == "implication" else ()
     totals = [dict() for _ in costs]
     examples: list = [[] for _ in costs]
-    for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.master_seed, check_name, dim, trial)
-            samples = list(trial_fn(dim, rng, *extra))
-            for slot, f in enumerate(costs):
-                for sub_name, inputs, evaluate in samples:
-                    lhs, rhs = evaluate(f)
-                    disc = cost_value_discrepancy(lhs, rhs)
-                    runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
-                    runs += 1
-                    if disc > value_tolerance(lhs, cfg.rel_tol):
-                        fails += 1
-                        if len(examples[slot]) < MAX_COUNTEREXAMPLES:
-                            serialized = {k: format_matrix(v) for k, v in inputs.items()}
-                            examples[slot].append(
-                                Counterexample(sub_name, dim, trial, serialized)
-                            )
-                    totals[slot][sub_name] = (runs, fails, max(worst, disc))
+    for name in names:
+        trial_fn = _TRIALS[name]
+        caps = [len(found) + MAX_COUNTEREXAMPLES for found in examples]
+        for dim in cfg.dims:
+            for trial in range(cfg.trials):
+                rng = _trial_rng(cfg.master_seed, name, dim, trial)
+                samples = list(trial_fn(dim, rng, cfg.rel_tol))
+                for slot, f in enumerate(costs):
+                    for sub_name, inputs, evaluate in samples:
+                        lhs, rhs = evaluate(f)
+                        disc = cost_value_discrepancy(lhs, rhs)
+                        runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
+                        runs += 1
+                        if disc > value_tolerance(lhs, cfg.rel_tol):
+                            fails += 1
+                            if len(examples[slot]) < caps[slot]:
+                                serialized = {k: format_matrix(v) for k, v in inputs.items()}
+                                examples[slot].append(
+                                    Counterexample(sub_name, dim, trial, serialized)
+                                )
+                        totals[slot][sub_name] = (runs, fails, max(worst, disc))
     reports = []
     for slot, f in enumerate(costs):
         checks = tuple(
@@ -220,7 +230,12 @@ def _run_checks(costs, cfg: TrialConfig, check_name: str) -> list:
     return reports
 
 
-def _orthogonal_trial(dim, rng):
+def _solved_scalar(M: SymPosDefMatrix) -> SymPosDefMatrix:
+    # The scalar matrix s*I of M's determinant, s = exp(log_det(M)/n).
+    return SymPosDefMatrix.scalar(M.n, math.exp(log_det(M) / M.n))
+
+
+def _orthogonal_trial(dim, rng, rel_tol):
     A = random_gl(dim, rng)
     Q = random_orthogonal(dim, rng)
     gram = congruence(SymPosDefMatrix.identity(dim), A)
@@ -228,7 +243,7 @@ def _orthogonal_trial(dim, rng):
     yield "orthogonal", {"A": A.entries, "Q": Q.entries}, lambda f: (f(gram), f(conjugated))
 
 
-def _commutator_trial(dim, rng):
+def _commutator_trial(dim, rng, rel_tol):
     A = random_gl(dim, rng)
     B = random_gl(dim, rng)
     lhs = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
@@ -236,7 +251,7 @@ def _commutator_trial(dim, rng):
     yield "commutator", {"A": A.entries, "B": B.entries}, lambda f: (f(lhs), f(rhs))
 
 
-def _svd_collapse_trial(dim, rng):
+def _svd_collapse_trial(dim, rng, rel_tol):
     A = random_gl(dim, rng)
     B = random_gl(dim, rng)
     full = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
@@ -265,13 +280,19 @@ def _implication_trial(dim, rng, rel_tol):
     yield "implication", {"M": M.entries, "N": N.entries, "A": A.entries}, evaluate
 
 
-def _det_factorization_trial(dim, rng):
+def _det_factorization_trial(dim, rng, rel_tol):
     M = random_pd(dim, rng)
     S = random_sl(dim, rng)
     conjugated = congruence(M, S)
-    scalar = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
+    scalar = _solved_scalar(M)
     yield "sl_conjugation", {"M": M.entries, "S": S.entries}, lambda f: (f(conjugated), f(M))
     yield "scalar_collapse", {"M": M.entries, "sI": scalar.entries}, lambda f: (f(M), f(scalar))
+
+
+def _surjectivity_trial(dim, rng, rel_tol):
+    M = random_pd(dim, rng)
+    solved = _solved_scalar(M)
+    yield "surjectivity", {"M": M.entries}, lambda f: (f(M), f(solved))
 
 
 _TRIALS = {
@@ -280,6 +301,7 @@ _TRIALS = {
     "commutator": _commutator_trial,
     "svd_collapse": _svd_collapse_trial,
     "det_factorization": _det_factorization_trial,
+    "surjectivity": _surjectivity_trial,
 }
 
 
@@ -297,9 +319,9 @@ def check(f: CostFunction, cfg: TrialConfig, name: str) -> InvarianceReport:
       scalar matrix s*I of equal determinant, s = exp(log_det(M)/n)
       (scalar_collapse).
     """
-    if name not in _TRIALS:
+    if name not in ALL_CHECKS:
         raise ValueError(f"unknown check {name!r}; expected one of {', '.join(ALL_CHECKS)}")
-    return _run_checks([f], cfg, name)[0]
+    return _run_checks([f], cfg, (name,))[0]
 
 
 def check_det_factorization(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
@@ -320,38 +342,25 @@ def probe_scalar_surjectivity(f: CostFunction, cfg: TrialConfig) -> Surjectivity
     trace, at s = tr(M)/n) counts as uncovered, since its witness does
     not come from the determinant.
     """
-    covered = 0
-    samples = 0
-    uncovered: list = []
-    for dim in cfg.dims:
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.master_seed, "surjectivity", dim, trial)
-            M = random_pd(dim, rng)
-            samples += 1
-            solved = SymPosDefMatrix.scalar(dim, math.exp(log_det(M) / dim))
-            if cost_values_match(f(M), f(solved), cfg.rel_tol):
-                covered += 1
-            elif len(uncovered) < MAX_COUNTEREXAMPLES:
-                uncovered.append(
-                    Counterexample("surjectivity", dim, trial, {"M": format_matrix(M.entries)})
-                )
-    fraction = covered / samples if samples else 0.0
-    return SurjectivityReport(f.name, fraction, samples, tuple(uncovered))
+    report = _run_checks([f], cfg, ("surjectivity",))[0]
+    (result,) = report.checks
+    fraction = (result.trials_run - result.failures) / result.trials_run
+    return SurjectivityReport(f.name, fraction, result.trials_run, report.counterexamples)
 
 
-def _scalar_value(f: CostFunction, n: int, log2_t: float) -> float:
-    # Canonical value of f on the scalar matrix with determinant 2**log2_t.
-    t_root = 2.0 ** (log2_t / n)
-    return f(SymPosDefMatrix.scalar(n, t_root)).canonical
+def _scalar_value(f: CostFunction, log2_t: float) -> CostValue:
+    # f on the scalar matrices of determinant 2**log2_t: a factoring cost
+    # reads only the log-det, so no matrix is built.
+    return CostValue(f.value(None, log2_t * math.log(2.0)), f.tag)
 
 
-def _bisect_drop(f: CostFunction, n: int, d_lo: float, d_hi: float) -> float:
+def _bisect_drop(f: CostFunction, d_lo: float, d_hi: float) -> float:
     """Locate the discontinuity where the canonical value falls back to
     the interval base, given that it drops between d_lo and d_hi."""
-    ref = _scalar_value(f, n, d_lo)
+    ref = _scalar_value(f, d_lo).canonical
     while d_hi - d_lo > KERNEL_BISECTION_TOL:
         mid = 0.5 * (d_lo + d_hi)
-        mid_value = _scalar_value(f, n, mid)
+        mid_value = _scalar_value(f, mid).canonical
         if mid_value >= ref:
             d_lo, ref = mid, mid_value
         else:
@@ -362,46 +371,47 @@ def _bisect_drop(f: CostFunction, n: int, d_lo: float, d_hi: float) -> float:
 def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
     """Identify the kernel lattice of a factoring cost from scalar scans.
 
-    Scans t over a dyadic geometric grid in (1, 16]: a point is
-    kernel-positive when f(t**(1/n) * I) = f(I), and each sawtooth drop of
-    the canonical value between neighboring grid points is localized by
-    bisection. No kernel points means the trivial kernel; otherwise the
-    lattice constant is fit through the detected points (exact to 1e-6
-    for grid-aligned lattices, 5e-5 otherwise) and every expected multiple
-    must be present, else the scan refuses to guess and raises
-    UnrecognizedKernelError.
-
-    The caller is responsible for the precondition that f passes the
-    invariance checks; scans of non-factoring costs are meaningless.
+    Scans log2 t over a dyadic grid in (0, 4] through the cost's value
+    map: a point is kernel-positive when f(t) = f(1), and each sawtooth
+    drop of the canonical value between neighbors is localized by
+    bisection. No kernel points gives the trivial kernel, provided
+    f(1/16) < f(1). Otherwise the lattice constant is fit through the
+    points (exact to 1e-6 for grid-aligned lattices, 5e-5 otherwise),
+    every expected multiple must be present, and f must rise strictly
+    between them. Anything else, and a cost that does not factor (kernel
+    None), raises UnrecognizedKernelError. Only cfg.rel_tol is read; the
+    caller checks that f passes the invariance checks.
     """
-    n = cfg.dims[0]
-    base = f(SymPosDefMatrix.identity(n))
-    if base.payload is not None:
+    if f.kernel is None:
         raise UnrecognizedKernelError(
-            "cost equality is not represented by its canonical real; "
+            f"cost {f.name!r} does not factor through the determinant; "
             "scalar scans cannot identify a kernel"
         )
-    # Dyadic log2 grid: m/512 for m = 1..2048, exactly representable.
-    d_grid = np.arange(1, KERNEL_GRID_POINTS + 1) * (KERNEL_LOG2_MAX / KERNEL_GRID_POINTS)
-    values = [f(SymPosDefMatrix.scalar(n, 2.0 ** (d / n))) for d in d_grid]
-    flagged = set()
+    base = _scalar_value(f, 0.0)
     kernel_points: list = []
-    for d, v in zip(d_grid, values):
-        if cost_values_match(v, base, cfg.rel_tol):
-            flagged.add(float(d))
-            kernel_points.append(float(d))
-    canon = np.array([v.canonical for v in values])
-    prev_d = 0.0
-    prev_c = base.canonical
-    for d, c in zip(d_grid, canon):
-        # A canonical drop between neighbors brackets a kernel point. An
-        # equality flag at either endpoint already locates it exactly;
-        # otherwise bisection narrows the drop (to within the quantizer's
-        # boundary-snap width of the true point).
-        if c < prev_c * (1.0 - 1e-9) and prev_d not in flagged and float(d) not in flagged:
-            kernel_points.append(_bisect_drop(f, n, prev_d, float(d)))
-        prev_d, prev_c = float(d), c
+    prev_d, prev_c, prev_flagged = 0.0, base.canonical, False
+    # Dyadic log2 grid: m/512 for m = 1..2048, exactly representable.
+    for m in range(1, KERNEL_GRID_POINTS + 1):
+        d = m * (KERNEL_LOG2_MAX / KERNEL_GRID_POINTS)
+        value = _scalar_value(f, d)
+        flagged = cost_values_match(value, base, cfg.rel_tol)
+        if flagged:
+            kernel_points.append(d)
+        elif value.canonical < prev_c * (1.0 - 1e-9) and not prev_flagged:
+            # A canonical drop between neighbors brackets a kernel point.
+            # An equality flag at either endpoint already locates it
+            # exactly; otherwise bisection narrows the drop (to within the
+            # quantizer's boundary-snap width of the true point).
+            kernel_points.append(_bisect_drop(f, prev_d, d))
+        prev_d, prev_c, prev_flagged = d, value.canonical, flagged
     if not kernel_points:
+        # A lattice constant past the scan folds f(1/16) above f(1), unless
+        # it is past 4e5, where the quantizer's boundary snap hides the fold.
+        if _scalar_value(f, -KERNEL_LOG2_MAX).canonical >= base.canonical:
+            raise UnrecognizedKernelError(
+                "no kernel point in the scan, but f(1/16) >= f(1): "
+                "the lattice constant is past the scan"
+            )
         return KernelEstimate("trivial", None, 0)
     # Merge duplicate detections of the same lattice point.
     kernel_points.sort()
@@ -409,20 +419,27 @@ def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
     for d in kernel_points[1:]:
         if d - merged[-1] > 1e-4:
             merged.append(d)
-    # Fit the lattice constant through the origin; every point must sit on
-    # a distinct multiple and no expected multiple may be missing.
+    # Fit the lattice constant through the origin; the points must be
+    # exactly its multiples 1, 2, ... up to the end of the scan.
     base_estimate = merged[0]
     multiples = [round(d / base_estimate) for d in merged]
     a_estimate = sum(merged) / sum(multiples)
-    for d, j in zip(merged, multiples):
-        if j < 1 or abs(d - j * a_estimate) > 5e-5:
-            raise UnrecognizedKernelError(
-                f"kernel points {merged} do not form a lattice with base {a_estimate}"
-            )
     expected = int(math.floor(KERNEL_LOG2_MAX / a_estimate + 1e-9))
-    if multiples != list(range(1, expected + 1)):
+    if multiples != list(range(1, expected + 1)) or any(
+            abs(d - j * a_estimate) > 5e-5 for d, j in zip(merged, multiples)):
+        shown = ", ".join(f"{d:.6g}" for d in merged[:5]) + ", ..." * (len(merged) > 5)
         raise UnrecognizedKernelError(
-            f"kernel points {merged} miss expected multiples of {a_estimate}"
+            f"{len(merged)} kernel points [{shown}] are not the multiples "
+            f"1..{expected} of {a_estimate:.6g}"
+        )
+    # Between lattice points the folded value climbs from f(1); a constant
+    # below the grid's resolution aliases onto grid points instead.
+    rise = [base] + [_scalar_value(f, j * a_estimate / 64) for j in range(1, 64)]
+    if any(cost_values_match(v, base, cfg.rel_tol) or u.canonical >= v.canonical
+           for u, v in zip(rise, rise[1:])):
+        raise UnrecognizedKernelError(
+            f"f does not rise strictly between kernel points {a_estimate:.6g} apart: "
+            "the lattice constant is below the scan's resolution"
         )
     return KernelEstimate("lattice", a_estimate, len(merged))
 
@@ -452,13 +469,7 @@ def run_all_checks(costs, cfg: TrialConfig) -> list:
     """All five identity checks for several costs over shared samples;
     returns one merged InvarianceReport per cost, identical to what
     check would produce for each cost and name."""
-    per_check = [_run_checks(list(costs), cfg, name) for name in ALL_CHECKS]
-    merged = []
-    for slot, f in enumerate(costs):
-        checks = tuple(c for reports in per_check for c in reports[slot].checks)
-        examples = tuple(e for reports in per_check for e in reports[slot].counterexamples)
-        merged.append(InvarianceReport(f.name, checks, examples))
-    return merged
+    return _run_checks(list(costs), cfg, ALL_CHECKS)
 
 
 def run_invariance_suite(f: CostFunction, cfg: TrialConfig) -> SuiteReport:

@@ -90,8 +90,7 @@ class SymPosDefMatrix:
     def _log_det(self) -> float:
         # Instances are immutable, so the Cholesky factorization runs at
         # most once per matrix however many costs evaluate it.
-        chol = np.linalg.cholesky(self.entries)
-        return 2.0 * sum(math.log(x) for x in chol.diagonal().tolist())
+        return float(_cholesky_log_det(np.linalg.cholesky(self.entries)))
 
     @classmethod
     def identity(cls, n: int) -> "SymPosDefMatrix":
@@ -116,6 +115,12 @@ def _passes_pd_gate(smallest, largest):
     return (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
 
 
+def _cholesky_log_det(chol: np.ndarray):
+    """2 * sum(log(diag)) of a Cholesky factor, or of each in a stack: the
+    one log-det formula of log_det and gate_stack."""
+    return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+
+
 def gate_stack(stack: np.ndarray) -> tuple:
     """SymPosDefMatrix's gate over an (m, n, n) stack, by one batched
     eigvalsh, with log-dets from one batched Cholesky.
@@ -123,12 +128,11 @@ def gate_stack(stack: np.ndarray) -> tuple:
     The stack must be finite and exactly symmetric, as (C + C^T)/2 of a
     finite C is, so neither is checked again. Returns (positions,
     log_dets): the stack positions of the passing matrices in order, and
-    their log-dets, which may differ from log_det's by an ulp.
+    their log-dets.
     """
     eigenvalues = np.linalg.eigvalsh(stack)
     positions = np.flatnonzero(_passes_pd_gate(eigenvalues[:, 0], eigenvalues[:, -1]))
-    chol = np.linalg.cholesky(stack[positions])
-    return positions, 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return positions, _cholesky_log_det(np.linalg.cholesky(stack[positions]))
 
 
 @lru_cache(maxsize=None)
@@ -235,12 +239,7 @@ def random_gl(n: int, seed) -> InvertibleMatrix:
     """Seeded random invertible matrix with standard normal entries,
     resampled (at most RESAMPLE_LIMIT times) until the sampler's condition
     cap passes."""
-    rng = np.random.default_rng(seed)
-    for _ in range(RESAMPLE_LIMIT):
-        cand = rng.standard_normal((n, n))
-        if _well_conditioned(cand):
-            return InvertibleMatrix(cand)
-    raise _exhausted("invertible", n)
+    return _capped_draw(n, seed, unit_det=False)
 
 
 def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
@@ -260,23 +259,24 @@ def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
 def random_sl(n: int, seed) -> InvertibleMatrix:
     """Seeded random determinant-one matrix: a random_gl draw with its
     first column divided by the determinant."""
+    return _capped_draw(n, seed, unit_det=True)
+
+
+def _capped_draw(n: int, seed, unit_det: bool) -> InvertibleMatrix:
+    # The draw loop of random_gl and random_sl, under the condition cap.
     rng = np.random.default_rng(seed)
     for _ in range(RESAMPLE_LIMIT):
         cand = rng.standard_normal((n, n))
-        det = float(np.linalg.det(cand))
-        if det == 0.0:
-            continue
-        cand = cand.copy()
-        cand[:, 0] /= det
+        if unit_det:
+            det = float(np.linalg.det(cand))
+            if det == 0.0:
+                continue
+            cand[:, 0] /= det
         if _well_conditioned(cand):
             return InvertibleMatrix(cand)
-    raise _exhausted("determinant-one", n)
-
-
-def _exhausted(kind: str, n: int) -> SamplerExhaustedError:
-    return SamplerExhaustedError(
-        f"no {kind} {n}x{n} sample with condition number at most "
-        f"{SAMPLER_CONDITION_CAP:g} in {RESAMPLE_LIMIT} draws"
+    raise SamplerExhaustedError(
+        f"no {'determinant-one' if unit_det else 'invertible'} {n}x{n} sample with "
+        f"condition number at most {SAMPLER_CONDITION_CAP:g} in {RESAMPLE_LIMIT} draws"
     )
 
 
@@ -315,12 +315,13 @@ def parse_matrix(text: str) -> np.ndarray:
         try:
             rows.append([float(tok) for tok in tokens])
         except ValueError:
-            bad = next(tok for tok in tokens if not _is_float(tok))
+            bad = next(tok for tok in tokens if not is_float(tok))
             raise ValueError(f"line {idx}: not a number: {bad!r}") from None
     return np.array(rows, dtype=np.float64)
 
 
-def _is_float(token: str) -> bool:
+def is_float(token: str) -> bool:
+    """Whether float() accepts the token; the parsers name the first that fails."""
     try:
         float(token)
         return True

@@ -14,8 +14,8 @@ covariance in order, with no per-subset matrix or cost value. A later
 subset wins only when lower by more than COST_REL_TOL * max(|best|,
 |value|), so the lexicographically smallest subset wins ties whatever the
 chunking, and scaling the data (every determinant by one factor) keeps
-the winner. The reported cost is evaluated again on
-subset_covariance(best), so it is exactly what a lone evaluation gives.
+the winner. The reported CostValue is f(subset_covariance(best)), built
+for the winner alone.
 
 With the determinant cost the estimator is affine equivariant:
 transforming the data by x -> A x + b moves the estimate the same way.
@@ -33,7 +33,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .cost import CostFunction, CostValue, COST_REL_TOL
-from .linalg import MAX_DIM, NotPositiveDefiniteError, SymPosDefMatrix, gate_stack
+from .linalg import MAX_DIM, NotPositiveDefiniteError, SymPosDefMatrix, gate_stack, is_float
 
 MAX_SUBSETS = 10**6
 
@@ -234,7 +234,7 @@ def parse_dataset_csv(text: str) -> Dataset:
     if not raw:
         raise ValueError("empty dataset")
     start = 0
-    if not all(_is_number(field) for field in raw[0][1]):
+    if not all(is_float(field) for field in raw[0][1]):
         start = 1
         if len(raw) == 1:
             raise ValueError("dataset has a header but no data rows")
@@ -252,11 +252,3 @@ def parse_dataset_csv(text: str) -> Dataset:
                 ) from None
         rows.append(values)
     return Dataset(np.array(rows, dtype=np.float64))
-
-
-def _is_number(field: str) -> bool:
-    try:
-        float(field)
-        return True
-    except ValueError:
-        return False

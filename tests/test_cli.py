@@ -114,6 +114,19 @@ class TestKernelCommand:
         assert code == EXIT_UNRECOGNIZED_KERNEL
         capsys.readouterr()
 
+    @pytest.mark.parametrize("cost", ["qdet:8", "qdet:1e-9", "qdet:1e-6", "qdet:1e-7",
+                                      "qdet:0.002"])
+    def test_unidentifiable_lattice_refused_in_one_line(self, cost, capsys):
+        # Past the scan (8), below its resolution (1e-9 to 1e-6), or with
+        # 2,000 kernel points too close to resolve (0.002).
+        code = main(["kernel", "--cost", cost, "--dims", "2", "--trials", "20"])
+        assert code == EXIT_UNRECOGNIZED_KERNEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("unrecognized kernel: ")
+        assert len(captured.err) < 300
+
     def test_json_format(self, capsys):
         code = main(["kernel", "--cost", "qdet:2", "--dims", "2", "--trials", "20",
                      "--format", "json"])
@@ -257,6 +270,13 @@ class TestCommutatorCommand:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    def test_huge_dimension_is_one_line_input_error(self, capsys):
+        code = main(["commutator", "--n", "1000000000", "--i", "1", "--j", "2",
+                     "--lambda", "1"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "elementary matrices need 2 <= n <= 64, got 1000000000\n"
+
     def test_json_format(self, capsys):
         code = main(["commutator", "--n", "3", "--i", "1", "--j", "3", "--lambda", "2",
                      "--format", "json"])
@@ -309,6 +329,16 @@ class TestUsage:
     def test_bad_dims(self, capsys):
         assert main(["check", "--cost", "det", "--dims", "zero"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dims", ["1..65", "70", "2,65"])
+    def test_dims_past_max_dim_refused_before_any_trial(self, dims, monkeypatch, capsys):
+        def no_trials(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr("affinecost.cli.run_invariance_suite", no_trials)
+        assert main(["check", "--cost", "det", "--dims", dims]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"affinecost: error: dimensions must be in [1, 64], got {dims!r}\n"
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     @pytest.mark.parametrize("command", ["check", "kernel"])

@@ -64,6 +64,11 @@ class TestElementary:
         with pytest.raises(ValueError, match="range"):
             elementary(2, 0, 2, 1.0)
 
+    def test_dimension_bounded_before_allocation(self):
+        # np.eye(10**9) would need 8e18 bytes; the bound comes first.
+        with pytest.raises(ValueError, match="2 <= n <= 64"):
+            ElementaryMatrix(10**9, 0, 1, 1.0)
+
     def test_inverse_negates_scale(self):
         E = ElementaryMatrix(3, 1, 2, 4.0)
         product = E.matrix() @ E.inverse().matrix()

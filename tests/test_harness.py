@@ -6,6 +6,7 @@ import pytest
 from affinecost.cost import DET_COST, IDENTITY_COST, TRACE_COST, KernelSpec, factored_cost
 from affinecost.harness import (
     ALL_CHECKS,
+    MAX_COUNTEREXAMPLES,
     TrialConfig,
     UnrecognizedKernelError,
     check,
@@ -15,7 +16,7 @@ from affinecost.harness import (
     run_all_checks,
     run_invariance_suite,
 )
-from affinecost.linalg import parse_matrix
+from affinecost.linalg import SymPosDefMatrix, parse_matrix
 
 QDET_HALF = factored_cost(KernelSpec.lattice(0.5))
 QDET_ONE = factored_cost(KernelSpec.lattice(1.0))
@@ -99,7 +100,8 @@ class TestIdentityControl:
         cfg = TrialConfig(dims=(2, 3), trials=50, master_seed=11)
         probe = probe_scalar_surjectivity(IDENTITY_COST, cfg)
         assert probe.covered_fraction == 0.0
-        assert len(probe.uncovered) > 0
+        assert len(probe.uncovered) == MAX_COUNTEREXAMPLES
+        assert probe.as_dict()["uncovered_count"] == probe.samples == 100
         # The trace matches the solved scalar only on 1x1 matrices: for
         # n > 1, AM-GM gives tr(M) > n * det(M)**(1/n) unless M is scalar.
         cfg = TrialConfig(dims=(1, 2, 3), trials=50, master_seed=11)
@@ -129,6 +131,50 @@ class TestKernelEstimation:
     def test_identity_cost_refused(self):
         with pytest.raises(UnrecognizedKernelError):
             estimate_kernel(IDENTITY_COST, small_cfg())
+
+    def test_trace_cost_refused(self):
+        # The trace agrees with the determinant on 1x1 matrices only; a
+        # scan must not read a kernel off it.
+        with pytest.raises(UnrecognizedKernelError, match="does not factor"):
+            estimate_kernel(TRACE_COST, small_cfg(dims=(1,)))
+
+    def test_scan_builds_no_matrix(self, monkeypatch):
+        built = []
+        gate = SymPosDefMatrix.__post_init__
+
+        def counting_gate(self):
+            built.append(1)
+            gate(self)
+
+        monkeypatch.setattr(SymPosDefMatrix, "__post_init__", counting_gate)
+        for f in (DET_COST, QDET_HALF, factored_cost(KernelSpec.lattice(0.3))):
+            estimate_kernel(f, small_cfg())
+        assert built == []
+
+    def test_scan_ignores_dims(self):
+        f = factored_cost(KernelSpec.lattice(0.3))
+        low = estimate_kernel(f, small_cfg(dims=(1,)))
+        high = estimate_kernel(f, small_cfg(dims=(6,)))
+        assert low.a_estimate == high.a_estimate
+
+    @pytest.mark.parametrize("a", [5.0, 8.0])
+    def test_constant_past_scan_refused(self, a):
+        # No kernel point in (1, 16], but the fold lifts f(1/16) above f(1).
+        with pytest.raises(UnrecognizedKernelError, match="past the scan"):
+            estimate_kernel(factored_cost(KernelSpec.lattice(a)), small_cfg())
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-7, 1e-6, 6.3e-5])
+    def test_constant_below_resolution_refused(self, a):
+        # Such lattices alias onto the grid's dyadic spacing.
+        with pytest.raises(UnrecognizedKernelError, match="below the scan's resolution"):
+            estimate_kernel(factored_cost(KernelSpec.lattice(a)), small_cfg())
+
+    def test_refusal_lists_a_few_points(self):
+        with pytest.raises(UnrecognizedKernelError) as info:
+            estimate_kernel(factored_cost(KernelSpec.lattice(0.002)), small_cfg())
+        assert len(str(info.value)) < 200
+        assert str(info.value).startswith("2000 kernel points [0.00200003, ")
+        assert ", ...] are not the multiples" in str(info.value)
 
 
 class TestReports:

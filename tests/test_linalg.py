@@ -12,6 +12,7 @@ from affinecost.linalg import (
     SymPosDefMatrix,
     congruence,
     format_matrix,
+    gate_stack,
     log_det,
     parse_matrix,
     random_gl,
@@ -121,6 +122,14 @@ class TestLogDet:
         gram = congruence(SymPosDefMatrix.identity(n), A)
         expected = 2.0 * math.log(abs(det_permutation(A.entries)))
         assert abs(log_det(gram) - expected) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_stacked_log_dets_match_log_det(self, n):
+        # One formula serves both: a stacked log-det has log_det's bits.
+        matrices = [random_pd(n, seed) for seed in range(50)]
+        positions, log_dets = gate_stack(np.array([M.entries for M in matrices]))
+        assert positions.tolist() == list(range(50))
+        assert log_dets.tolist() == [log_det(M) for M in matrices]
 
 
 class TestSvd:

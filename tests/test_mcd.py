@@ -257,8 +257,8 @@ class TestChunkedParity:
             assert result.subset == reference_mcd(data, 2, f)[0]
 
     def test_reported_cost_is_a_lone_evaluation(self):
-        # For this dataset's winner the batched log-det differs from
-        # log_det's by an ulp; the report must still carry log_det's value.
+        # The report carries the CostValue of a lone evaluation of the
+        # winner's covariance.
         data = Dataset(np.random.default_rng([6258, 7]).standard_normal((7, 2)))
         result = mcd_estimate(data, 4, DET_COST)
         assert result.subset == (0, 1, 2, 5)
