@@ -36,7 +36,7 @@ from .harness import (
     probe_scalar_surjectivity,
     run_invariance_suite,
 )
-from .linalg import MAX_DIM, InvertibleMatrix, SamplerExhaustedError, format_matrix, parse_matrix
+from .linalg import MAX_DIM, InvertibleMatrix, format_matrix, parse_matrix
 from .mcd import mcd_estimate, parse_dataset_csv
 
 EXIT_PASS = 0
@@ -326,9 +326,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _RUNNERS[args.subcommand](args)
-    except (ValueError, SamplerExhaustedError) as exc:
-        # Selector or configuration problems, including dimensions past
-        # the samplers' reach under their condition cap.
+    except ValueError as exc:
+        # Selector or configuration problems.
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return EXIT_USAGE
 

@@ -44,6 +44,10 @@ IDENTITY_ENTRY_TOL = 1e-10
 # conditioning caps (up to ~1e-6 in log2 units for four-factor products).
 QUANT_BOUNDARY_SNAP = 1e-5
 
+# Lattice constants stay below this: 2**(a*k + d) is then finite, and the
+# boundary snap cannot hide the fold at f(1/16), which needs a >= 4e5.
+LATTICE_A_MAX = 1024.0
+
 _LN2 = math.log(2.0)
 
 TRIVIAL = "trivial"
@@ -93,7 +97,7 @@ def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL)
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel of the determinant-value homomorphism: trivial, or the
-    multiplicative lattice generated by 2**a (a > 0 in log2 units)."""
+    multiplicative lattice generated by 2**a, 0 < a < LATTICE_A_MAX."""
 
     variant: str
     a: Optional[float] = None
@@ -102,10 +106,10 @@ class KernelSpec:
         if self.variant not in (TRIVIAL, LATTICE):
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == LATTICE:
-            if self.a is None or not math.isfinite(self.a) or self.a <= 0.0:
+            if self.a is None or not 0.0 < self.a < LATTICE_A_MAX:
                 raise ValueError(
-                    f"lattice kernel requires a > 0, got {self.a!r}; "
-                    "use the trivial kernel for a = 0"
+                    f"lattice kernel requires a > 0 and a < {LATTICE_A_MAX:g}, got "
+                    f"{self.a!r}; use the trivial kernel for a = 0"
                 )
         elif self.a is not None:
             raise ValueError("trivial kernel takes no lattice constant")
@@ -159,7 +163,7 @@ def quantize_log2_det(d: float, a: float) -> tuple:
     """Fold a log2 determinant d into [1, 2**a): returns (k, canonical)
     with k the unique integer putting 2**(a*k + d) in the interval.
 
-    a > 0, as KernelSpec enforces. Values of d/a within
+    0 < a < LATTICE_A_MAX, as KernelSpec enforces. Values of d/a within
     QUANT_BOUNDARY_SNAP of an integer snap to it, so determinants sitting
     on a lattice point fold to the lower edge 1.
     """

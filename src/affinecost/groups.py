@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import COST_REL_TOL, CostFunction, cost_values_match
-from .linalg import MAX_DIM, InvertibleMatrix, SymPosDefMatrix, congruence
+from .cost import COST_REL_TOL, CostFunction, CostValue, cost_values_match
+# congruence stays importable here: perfbench's tracer wraps groups.congruence.
+from .linalg import MAX_DIM, InvertibleMatrix, congruence
 
 SL_DET_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -189,6 +190,14 @@ def reconstruct_factors(factors, n: int) -> np.ndarray:
 
 def kernel_membership(A: InvertibleMatrix, f: CostFunction,
                       rel_tol: float = COST_REL_TOL) -> bool:
-    """True iff f(A^T A) equals f(I) under f's own equality."""
-    gram = congruence(SymPosDefMatrix.identity(A.n), A)
-    return cost_values_match(f(gram), f(SymPosDefMatrix.identity(A.n)), rel_tol)
+    """True iff f(A^T A) equals f(I) under f's own equality.
+
+    f must factor through the determinant, so it is read at
+    log det(A^T A) = 2 log|det A|, taken from A by slogdet: a Cholesky of
+    A^T A would square A's conditioning.
+    """
+    if f.kernel is None:
+        raise ValueError(f"cost {f.name!r} does not factor through the determinant")
+    log_abs_det = float(np.linalg.slogdet(A.entries)[1])
+    gram = CostValue(f.value(None, 2.0 * log_abs_det), f.tag)
+    return cost_values_match(gram, CostValue(f.value(None, 0.0), f.tag), rel_tol)

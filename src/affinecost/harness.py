@@ -405,8 +405,8 @@ def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
             kernel_points.append(_bisect_drop(f, prev_d, d))
         prev_d, prev_c, prev_flagged = d, value.canonical, flagged
     if not kernel_points:
-        # A lattice constant past the scan folds f(1/16) above f(1), unless
-        # it is past 4e5, where the quantizer's boundary snap hides the fold.
+        # A lattice constant past the scan folds f(1/16) above f(1); its
+        # bound a < 1024 keeps the quantizer's boundary snap from hiding that.
         if _scalar_value(f, -KERNEL_LOG2_MAX).canonical >= base.canonical:
             raise UnrecognizedKernelError(
                 "no kernel point in the scan, but f(1/16) >= f(1): "

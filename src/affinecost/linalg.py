@@ -2,7 +2,8 @@
 
 Value types carry their defining gates (symmetry, positive definiteness,
 orthogonality, invertibility) and refuse construction when a gate fails.
-Conditioning is not a gate: the GL/SL samplers cap it where they draw.
+Conditioning is not a gate: the GL/SL samplers build it in, choosing
+singular values whose ratio stays below their cap.
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds (an int, or a numpy Generator that the sampler
 draws from), so each sampler is a deterministic function of (n, seed)
@@ -22,26 +23,19 @@ MAX_DIM = 64
 SYMMETRY_TOL = 1e-10
 PD_EIG_RATIO = 1e-10
 ORTHOGONALITY_TOL = 1e-10
-RESAMPLE_LIMIT = 100
 
 # Relative diagonal shift keeping random PD samples well conditioned.
 PD_SHIFT = 1e-3
 
-# Condition-number cap for the GL/SL samplers. Congruence chains multiply
-# condition numbers, so uncapped draws occasionally push results past the
-# positive definiteness gate or past the 1e-8 equality tolerance; capping
-# keeps tolerance-based checks meaningful, for the same reason random_pd
-# carries its diagonal shift.
+# Condition-number cap of the GL/SL samplers, held by construction.
+# Congruence chains multiply condition numbers, so uncapped draws can push
+# results past the positive definiteness gate or the 1e-8 equality
+# tolerance, which random_pd's diagonal shift also guards against.
 SAMPLER_CONDITION_CAP = 30.0
 
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix fails the positive definiteness gate."""
-
-
-class SamplerExhaustedError(RuntimeError):
-    """Raised when a sampler draws RESAMPLE_LIMIT candidates and none
-    passes its condition cap."""
 
 
 def _square_entries(entries) -> np.ndarray:
@@ -230,15 +224,10 @@ def random_pd(n: int, seed) -> SymPosDefMatrix:
     return SymPosDefMatrix(gram + shift * np.eye(n))
 
 
-def _well_conditioned(arr: np.ndarray) -> bool:
-    singular = np.linalg.svd(arr, compute_uv=False)
-    return singular[-1] > 0.0 and singular[0] / singular[-1] <= SAMPLER_CONDITION_CAP
-
-
 def random_gl(n: int, seed) -> InvertibleMatrix:
-    """Seeded random invertible matrix with standard normal entries,
-    resampled (at most RESAMPLE_LIMIT times) until the sampler's condition
-    cap passes."""
+    """Seeded random invertible matrix U diag(s) V with Haar orthogonal U
+    and V and log-uniform singular values s in [30**-0.5, 30**0.5), so
+    its condition number is below SAMPLER_CONDITION_CAP."""
     return _capped_draw(n, seed, unit_det=False)
 
 
@@ -257,27 +246,25 @@ def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
 
 
 def random_sl(n: int, seed) -> InvertibleMatrix:
-    """Seeded random determinant-one matrix: a random_gl draw with its
-    first column divided by the determinant."""
+    """Seeded random determinant-one matrix: random_gl's construction
+    with log s centred to sum 0 and its sign chosen to make det = +1."""
     return _capped_draw(n, seed, unit_det=True)
 
 
 def _capped_draw(n: int, seed, unit_det: bool) -> InvertibleMatrix:
-    # The draw loop of random_gl and random_sl, under the condition cap.
+    # The singular vectors of a Gaussian matrix are Haar, so one SVD gives
+    # both orthogonal factors; the singular values are replaced by s.
     rng = np.random.default_rng(seed)
-    for _ in range(RESAMPLE_LIMIT):
-        cand = rng.standard_normal((n, n))
-        if unit_det:
-            det = float(np.linalg.det(cand))
-            if det == 0.0:
-                continue
-            cand[:, 0] /= det
-        if _well_conditioned(cand):
-            return InvertibleMatrix(cand)
-    raise SamplerExhaustedError(
-        f"no {'determinant-one' if unit_det else 'invertible'} {n}x{n} sample with "
-        f"condition number at most {SAMPLER_CONDITION_CAP:g} in {RESAMPLE_LIMIT} draws"
-    )
+    g = rng.standard_normal((n, n))
+    p, _, qt = np.linalg.svd(g)
+    half_width = 0.5 * math.log(SAMPLER_CONDITION_CAP)
+    log_s = rng.uniform(-half_width, half_width, n)
+    if unit_det:
+        log_s -= log_s.sum() / n
+    s = np.exp(log_s)
+    if unit_det and np.linalg.det(g) < 0.0:
+        s[0] = -s[0]
+    return InvertibleMatrix((p * s) @ qt)
 
 
 def format_matrix(entries) -> str:

@@ -256,3 +256,23 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         cli_main(["check", "--cost", "det", "--dims", "2", "--trials", "10", "--seed", "3"])
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 3
+
+
+# Dimensions of the tolerance table (README, "Numerical conventions").
+TOLERANCE_DIMS = (1, 2, 3, 4, 5, 6, 8, 12, 16, 32, 64)
+
+
+def test_criterion_10_tolerance_against_dimension():
+    with criterion(10, "worst discrepancies at the sampler cap stay within 1e-8 to n = 64"):
+        costs = FACTORED_COSTS[:2]  # det and qdet:0.5
+        for n in TOLERANCE_DIMS:
+            cfg = TrialConfig(dims=(n,), trials=20, master_seed=MASTER_SEED)
+            det_report, qdet_report = run_all_checks(costs, cfg)
+            cells = []
+            for det_check, qdet_check in zip(det_report.checks, qdet_report.checks):
+                for result in (det_check, qdet_check):
+                    assert result.failures == 0, (n, result)
+                    assert result.worst_discrepancy <= COST_REL_TOL, (n, result)
+                cells.append(f"{det_check.name} {det_check.worst_discrepancy:.1e}"
+                             f" / {qdet_check.worst_discrepancy:.1e}")
+            print(f"n = {n}: " + ", ".join(cells))

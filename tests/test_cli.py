@@ -71,17 +71,28 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
-    @pytest.mark.parametrize("dims", ["7", "8"])
-    def test_dims_past_sampler_reach_are_usage_error(self, dims, capsys):
-        # random_sl's condition cap accepts too few draws at n >= 7 for
-        # its resample limit; the run must end in a diagnostic, not a
-        # traceback.
-        code = main(["check", "--cost", "det", "--dims", dims, "--trials", "20"])
+    def test_dims_past_six_pass(self, capsys):
+        # The samplers hold their condition cap by construction, so the
+        # harness reaches every dimension up to MAX_DIM.
+        code = main(["check", "--cost", "det", "--dims", "7,8", "--trials", "20"])
+        assert code == EXIT_PASS
+        report = json.loads(capsys.readouterr().out)
+        assert report["dims"] == [7, 8]
+        assert all(c["trials_run"] == 40 and c["failures"] == 0 for c in report["checks"])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--cost", "qdet:2000", "--dims", "2", "--trials", "5"],
+        ["kernel", "--cost", "qdet:1e6", "--dims", "2", "--trials", "20"],
+    ])
+    def test_lattice_constant_past_bound_is_usage_error(self, argv, capsys):
+        # Past the bound the folded value can overflow (2000), and the
+        # quantizer snap can hide the fold at f(1/16) (1e6).
+        code = main(argv)
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert f"no determinant-one {dims}x{dims} sample" in captured.err
+        assert "a < 1024" in captured.err
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -267,6 +267,18 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="a > 0"):
             KernelSpec.lattice(-1.0)
 
+    @pytest.mark.parametrize("a", [1024.0, 2000.0, 1e6, math.inf, math.nan])
+    def test_lattice_constant_bounded_above(self, a):
+        with pytest.raises(ValueError, match="a < 1024"):
+            KernelSpec.lattice(a)
+
+    def test_largest_constants_fold_to_finite_values(self):
+        # Just below the bound the fold of a determinant below 1 lands
+        # near 2**a, still finite.
+        f = factored_cost(KernelSpec.lattice(1023.9))
+        value = f.value(None, -0.5)
+        assert math.isfinite(value) and value > 2.0 ** 1023
+
     def test_trivial_takes_no_constant(self):
         with pytest.raises(ValueError, match="no lattice constant"):
             KernelSpec("trivial", 1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from affinecost.cost import DET_COST, KernelSpec, factored_cost
+from affinecost.cost import DET_COST, TRACE_COST, KernelSpec, factored_cost
 from affinecost.groups import (
     CommutatorPair,
     ElementaryMatrix,
@@ -17,6 +17,7 @@ from affinecost.groups import (
 )
 from affinecost.linalg import (
     InvertibleMatrix,
+    parse_matrix,
     random_gl,
     random_orthogonal,
     random_pd,
@@ -130,6 +131,49 @@ class TestTransposeCommutator:
             W = transpose_commutator(A, B)
             for f in FACTORED_COSTS:
                 assert kernel_membership(W, f)
+
+
+# Transpose commutators W = transpose_commutator(A, B) of Gaussian
+# draws, in the matrix text format, keyed by the seed they came from.
+# Each has condition number 8e4 to 2e5 and det 1 to within 3e-12, but
+# W^T W is so ill conditioned that a Cholesky of it read a log-det off 0
+# (seed 88) or failed the positive definiteness gate (the other three).
+ILL_CONDITIONED_MEMBERS = {
+    88: """5
+-101.15868428250204 17.706329689859192 -113.7284674294101 -69.65245399086534 48.625806157949413
+99.697473068577523 -17.252038094851763 111.01956141474277 66.617238655370159 -47.526778179829662
+35.054335283578297 -7.2024961907711909 39.184977504296988 22.747616415232496 -16.702851040840681
+40.174142089410829 -8.2029254953154513 44.612846464932666 26.332770537719163 -18.723131450954071
+0.16014954150312613 -0.033716375148255706 1.0045731326000582 0.99315716150236877 -0.68637037959362379
+""",
+    848: """3
+-243.85059471177172 -198.32684997154752 91.655307115205545
+125.59881451430128 101.73465332318658 -48.049302056028004
+-94.86114924284098 -76.625088559280712 36.728425634588902
+""",
+    866: """3
+-132.63091023657046 -89.523681931816853 48.956337321344428
+-37.817246581666751 -25.658409775074546 13.93561651518238
+-47.303542400201515 -28.451827535441321 18.131475135345774
+""",
+    1220: """3
+-261.93066728630839 -4.0546713235093099 8.2209936894307614
+191.60521963529251 3.6390847230548142 -5.1499675343990967
+-12.203370554047881 0.065985754891072335 0.70447153446445965
+""",
+}
+
+
+class TestIllConditionedKernelMembers:
+    @pytest.mark.parametrize("seed", sorted(ILL_CONDITIONED_MEMBERS))
+    def test_member_for_every_factored_cost(self, seed):
+        W = InvertibleMatrix(parse_matrix(ILL_CONDITIONED_MEMBERS[seed]))
+        for f in FACTORED_COSTS:
+            assert kernel_membership(W, f)
+
+    def test_nonfactoring_cost_refused(self):
+        with pytest.raises(ValueError, match="does not factor"):
+            kernel_membership(InvertibleMatrix(np.eye(2)), TRACE_COST)
 
 
 class TestElementaryAsCommutator:

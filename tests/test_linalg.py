@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affinecost.linalg import (
+    SAMPLER_CONDITION_CAP,
     InvertibleMatrix,
     NotPositiveDefiniteError,
     OrthogonalMatrix,
@@ -178,10 +179,30 @@ class TestSamplers:
                 assert w[-1] / w[0] <= 1e6
 
     def test_random_sl_determinant(self):
-        for n in (1, 2, 4, 6):
+        for n in (1, 2, 4, 6, 8, 16, 64):
             for seed in range(20):
                 S = random_sl(n, seed)
                 assert abs(np.linalg.det(S.entries) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 16, 64])
+    def test_cap_holds_by_construction(self, n):
+        # The cap holds in every dimension, past n = 6 included.
+        for seed in range(10):
+            for sampler in (random_gl, random_sl):
+                singular = np.linalg.svd(sampler(n, seed).entries, compute_uv=False)
+                assert singular[0] / singular[-1] <= SAMPLER_CONDITION_CAP * (1.0 + 1e-12)
+
+    def test_singular_values_log_uniform(self):
+        # log s is uniform on [-L/2, L/2), L = ln 30: mean 0 and variance
+        # L^2/12, so the mean of 6000 values stays within 3 sigma of 0.
+        width = math.log(SAMPLER_CONDITION_CAP)
+        logs = np.concatenate([
+            np.log(np.linalg.svd(random_gl(3, seed).entries, compute_uv=False))
+            for seed in range(2000)
+        ])
+        assert np.abs(logs).max() <= width / 2 + 1e-12
+        assert abs(logs.mean()) <= 3.0 * width / math.sqrt(12 * logs.size)
+        assert abs(logs.var() - width ** 2 / 12) <= 0.1 * width ** 2 / 12
 
     def test_random_orthogonal_gate(self):
         for n in (1, 2, 5):
