@@ -9,7 +9,8 @@ matrices (affine invariant, but its values do not reduce to a scalar).
 
 Each cost is a float map value(entries, log_det): factoring costs read
 only the log-determinant, controls only the entries. MCD ranks batched
-log-dets through the map; calling a cost on a matrix gives a CostValue.
+log-dets through the map; a cost's values on a stack of matrices are
+CostValues, and calling a cost on one matrix is a stack of one.
 
 Cost values carry a canonical real representative plus a class tag;
 equality is tolerance-aware and only defined between values of the same
@@ -141,9 +142,15 @@ class CostFunction:
 
     def __call__(self, M: SymPosDefMatrix) -> CostValue:
         # Controls never read the log-det, so they skip its Cholesky.
-        ld = log_det(M) if self.kernel is not None else math.nan
-        payload = M.entries if self.compares_entries else None
-        return CostValue(self.value(M.entries, ld), self.tag, payload)
+        return self.values(M.entries[None], [log_det(M)] if self.kernel is not None else None)[0]
+
+    def values(self, stack: np.ndarray, log_dets) -> list:
+        """The CostValue of each matrix of an (m, n, n) stack; log_dets,
+        their log-dets, is read by factoring costs only."""
+        if self.kernel is not None:
+            return [CostValue(self.value(None, ld), self.tag) for ld in log_dets]
+        return [CostValue(self.value(e, math.nan), self.tag, e if self.compares_entries else None)
+                for e in stack]
 
 
 def _det(entries, ld: float) -> float:

@@ -12,11 +12,12 @@ the command-line surface converts from the 1-based form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import COST_REL_TOL, CostFunction, CostValue, cost_values_match
+from .cost import COST_REL_TOL, TRIVIAL, CostFunction, CostValue, cost_values_match
 # congruence stays importable here: perfbench's tracer wraps groups.congruence.
 from .linalg import MAX_DIM, InvertibleMatrix, congruence
 
@@ -193,11 +194,15 @@ def kernel_membership(A: InvertibleMatrix, f: CostFunction,
     """True iff f(A^T A) equals f(I) under f's own equality.
 
     f must factor through the determinant, so it is read at
-    log det(A^T A) = 2 log|det A|, taken from A by slogdet: a Cholesky of
-    A^T A would square A's conditioning.
+    l = log det(A^T A) = 2 log|det A|, taken from A by slogdet: a Cholesky
+    of A^T A would square A's conditioning. The trivial kernel stays in
+    log space, where the det cost's band |e^l - 1| / max(1, e^l) =
+    1 - e^-|l| holds iff |l| <= -log1p(-rel_tol).
     """
     if f.kernel is None:
         raise ValueError(f"cost {f.name!r} does not factor through the determinant")
-    log_abs_det = float(np.linalg.slogdet(A.entries)[1])
-    gram = CostValue(f.value(None, 2.0 * log_abs_det), f.tag)
+    log_gram_det = 2.0 * float(np.linalg.slogdet(A.entries)[1])
+    if f.kernel.variant == TRIVIAL:
+        return rel_tol >= 1.0 or abs(log_gram_det) <= -math.log1p(-rel_tol)
+    gram = CostValue(f.value(None, log_gram_det), f.tag)
     return cost_values_match(gram, CostValue(f.value(None, 0.0), f.tag), rel_tol)

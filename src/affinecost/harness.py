@@ -11,41 +11,38 @@ of a cost that factors through the determinant. Kernel estimation reads
 the cost's value map on log-determinants and builds no matrix.
 Every check samples matrices through per-trial seeds split off a master
 seed, so a report is a deterministic function of its TrialConfig alone
-and independent of execution order. Failures are data, not errors: they
-are aggregated into reports together with fully serialized
-counterexample inputs.
+and independent of execution order. Each (check, dim) draws, gates and
+scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
+entries; a matrix has the same bits in any stack, so chunking changes no
+report. Failures are data, not errors: they are aggregated into reports
+together with fully serialized counterexample inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cost import (
-    CostFunction,
-    CostValue,
-    cost_value_discrepancy,
-    cost_values_match,
-    value_tolerance,
-)
-from .linalg import (
-    SymPosDefMatrix,
-    congruence,
-    format_matrix,
-    log_det,
-    random_gl,
-    random_orthogonal,
-    random_pd,
-    random_sl,
-    svd_decompose,
-)
+from .cost import (CostFunction, CostValue, cost_value_discrepancy, cost_values_match,
+                   value_tolerance)
+from .linalg import (MAX_DIM, congruence_stack, format_matrix, gate_invertible, gate_orthogonal,
+                     gate_pd, random_gl_stack, random_orthogonal_stack, random_pd_stack,
+                     stack_log_dets)
+# perfbench's tracer wraps these one-matrix names on this module.
+from .linalg import (congruence, log_det, random_gl, random_orthogonal,  # noqa: F401
+                     random_pd, random_sl, svd_decompose)
 
 # Counterexamples stored per check; failure counts are always exact.
 MAX_COUNTEREXAMPLES = 10
+
+# Matrix entries per stack: each (check, dim) runs its trials in chunks of
+# CHUNK_ENTRIES // n**2 (at least one), so a pass holds a few stacks of
+# at most this many entries whatever the dimension and trial count.
+CHUNK_ENTRIES = 2**15
 
 # Kernel scan: log2 t covers (0, 4] (t up to 16) in dyadic steps, fine
 # enough to resolve lattice constants down to 0.25.
@@ -82,8 +79,9 @@ class TrialConfig:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"dims must be positive, got {self.dims!r}")
+        # Bounded before any stack of n x n matrices is allocated.
+        if not dims or any(not 1 <= d <= MAX_DIM for d in dims):
+            raise ValueError(f"dims must be in [1, {MAX_DIM}], got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -99,12 +97,7 @@ class CheckResult:
     worst_discrepancy: float
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials_run": self.trials_run,
-            "failures": self.failures,
-            "worst_discrepancy": self.worst_discrepancy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -190,36 +183,49 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     """Drive the named trial kinds for several costs over shared samples;
     returns one InvarianceReport per cost, its checks in names order.
 
-    Each trial yields (sub_name, inputs, evaluate) tuples, where inputs
-    maps names to raw arrays (serialized only on failure) and evaluate(f)
-    produces the (lhs, rhs) cost values. Sharing the sampled matrices
-    across costs and kinds changes nothing in any single report: trial
-    streams depend only on (master_seed, kind, dim, trial), and each kind
-    keeps at most MAX_COUNTEREXAMPLES counterexamples per cost.
+    Each (kind, dim) runs its trials in chunks of CHUNK_ENTRIES entries.
+    A kind draws a chunk from its trials' own streams as (trials, n, n)
+    stacks and yields (sub_name, inputs, lhs, rhs) tuples: inputs maps
+    names to raw stacks, whose slices are serialized only on failure, and
+    lhs and rhs hold each cost's values per trial. Sharing the sampled
+    matrices across costs and kinds changes nothing in any single report:
+    trial streams depend only on (master_seed, kind, dim, trial), and each
+    kind keeps at most MAX_COUNTEREXAMPLES counterexamples per cost, in
+    (dim, trial) order.
     """
+    def score(stack) -> list:
+        # Gates a stack as SymPosDefMatrix gates each matrix; each cost's
+        # values on it, with log-dets from one batched Cholesky.
+        log_dets = stack_log_dets(gate_pd(stack))
+        return [f.values(stack, log_dets) for f in costs]
+
     totals = [dict() for _ in costs]
     examples: list = [[] for _ in costs]
     for name in names:
         trial_fn = _TRIALS[name]
         caps = [len(found) + MAX_COUNTEREXAMPLES for found in examples]
         for dim in cfg.dims:
-            for trial in range(cfg.trials):
-                rng = _trial_rng(cfg.master_seed, name, dim, trial)
-                samples = list(trial_fn(dim, rng, cfg.rel_tol))
-                for slot, f in enumerate(costs):
-                    for sub_name, inputs, evaluate in samples:
-                        lhs, rhs = evaluate(f)
-                        disc = cost_value_discrepancy(lhs, rhs)
-                        runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
-                        runs += 1
-                        if disc > value_tolerance(lhs, cfg.rel_tol):
-                            fails += 1
-                            if len(examples[slot]) < caps[slot]:
-                                serialized = {k: format_matrix(v) for k, v in inputs.items()}
-                                examples[slot].append(
-                                    Counterexample(sub_name, dim, trial, serialized)
-                                )
-                        totals[slot][sub_name] = (runs, fails, max(worst, disc))
+            step = max(1, CHUNK_ENTRIES // dim**2)
+            for first in range(0, cfg.trials, step):
+                trials = range(first, min(first + step, cfg.trials))
+                rngs = [_trial_rng(cfg.master_seed, name, dim, trial) for trial in trials]
+                subs = list(trial_fn(dim, rngs, score, cfg.rel_tol))
+                for slot in range(len(costs)):
+                    for t, trial in enumerate(trials):
+                        for sub_name, inputs, lhs, rhs in subs:
+                            u, v = lhs[slot][t], rhs[slot][t]
+                            disc = cost_value_discrepancy(u, v)
+                            runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
+                            runs += 1
+                            if disc > value_tolerance(u, cfg.rel_tol):
+                                fails += 1
+                                if len(examples[slot]) < caps[slot]:
+                                    serialized = {k: format_matrix(stack[t])
+                                                  for k, stack in inputs.items()}
+                                    examples[slot].append(
+                                        Counterexample(sub_name, dim, trial, serialized)
+                                    )
+                            totals[slot][sub_name] = (runs, fails, max(worst, disc))
     reports = []
     for slot, f in enumerate(costs):
         checks = tuple(
@@ -230,69 +236,71 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     return reports
 
 
-def _solved_scalar(M: SymPosDefMatrix) -> SymPosDefMatrix:
-    # The scalar matrix s*I of M's determinant, s = exp(log_det(M)/n).
-    return SymPosDefMatrix.scalar(M.n, math.exp(log_det(M) / M.n))
+def _solved_scalars(M) -> np.ndarray:
+    # The scalar matrix s*I of each gated M's determinant, s = exp(log_det(M)/n).
+    n = M.shape[-1]
+    return np.array([math.exp(ld / n) for ld in stack_log_dets(M)])[:, None, None] * np.eye(n)
 
 
-def _orthogonal_trial(dim, rng, rel_tol):
-    A = random_gl(dim, rng)
-    Q = random_orthogonal(dim, rng)
-    gram = congruence(SymPosDefMatrix.identity(dim), A)
-    conjugated = congruence(gram, Q)
-    yield "orthogonal", {"A": A.entries, "Q": Q.entries}, lambda f: (f(gram), f(conjugated))
+def _gram(A) -> np.ndarray:
+    # A^T I A for each A: the congruence of the identity, ungated.
+    return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
-def _commutator_trial(dim, rng, rel_tol):
-    A = random_gl(dim, rng)
-    B = random_gl(dim, rng)
-    lhs = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
-    rhs = congruence(congruence(SymPosDefMatrix.identity(dim), A), B)
-    yield "commutator", {"A": A.entries, "B": B.entries}, lambda f: (f(lhs), f(rhs))
+def _orthogonal_trial(n, rngs, score, rel_tol):
+    A = gate_invertible(random_gl_stack(n, rngs))
+    Q = gate_orthogonal(random_orthogonal_stack(n, rngs))
+    gram = _gram(A)
+    yield "orthogonal", {"A": A, "Q": Q}, score(gram), score(congruence_stack(gram, Q))
 
 
-def _svd_collapse_trial(dim, rng, rel_tol):
-    A = random_gl(dim, rng)
-    B = random_gl(dim, rng)
-    full = congruence(congruence(SymPosDefMatrix.identity(dim), B), A)
-    core = SymPosDefMatrix.diagonal((svd_decompose(B) * svd_decompose(A)) ** 2)
-    yield "svd_collapse", {"A": A.entries, "B": B.entries}, lambda f: (f(full), f(core))
+def _commutator_trial(n, rngs, score, rel_tol):
+    A = gate_invertible(random_gl_stack(n, rngs))
+    B = gate_invertible(random_gl_stack(n, rngs))
+    lhs = score(congruence_stack(gate_pd(_gram(B)), A))
+    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(gate_pd(_gram(A)), B))
 
 
-def _implication_trial(dim, rng, rel_tol):
-    M = random_pd(dim, rng)
-    S = random_sl(dim, rng)
-    N = congruence(M, S)
-    A = random_gl(dim, rng)
-    MA = congruence(M, A)
-    NA = congruence(N, A)
-
-    def evaluate(f):
-        # Equal-value pairs are constructed, not searched: N is the
-        # SL-congruence when that preserves the value (always, for
-        # factoring costs) and an exact copy of M otherwise; rejection
-        # sampling on equality of reals would never terminate.
-        lhs = f(MA)
-        if cost_values_match(f(M), f(N), rel_tol):
-            return lhs, f(NA)
-        return lhs, lhs
-
-    yield "implication", {"M": M.entries, "N": N.entries, "A": A.entries}, evaluate
+def _svd_collapse_trial(n, rngs, score, rel_tol):
+    A = gate_invertible(random_gl_stack(n, rngs))
+    B = gate_invertible(random_gl_stack(n, rngs))
+    full = score(congruence_stack(gate_pd(_gram(B)), A))
+    # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
+    core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
+    yield "svd_collapse", {"A": A, "B": B}, full, score(core[:, :, None] * np.eye(n))
 
 
-def _det_factorization_trial(dim, rng, rel_tol):
-    M = random_pd(dim, rng)
-    S = random_sl(dim, rng)
-    conjugated = congruence(M, S)
-    scalar = _solved_scalar(M)
-    yield "sl_conjugation", {"M": M.entries, "S": S.entries}, lambda f: (f(conjugated), f(M))
-    yield "scalar_collapse", {"M": M.entries, "sI": scalar.entries}, lambda f: (f(M), f(scalar))
+def _implication_trial(n, rngs, score, rel_tol):
+    M = random_pd_stack(n, rngs)
+    at_m = score(M)
+    S = gate_invertible(random_gl_stack(n, rngs, unit_det=True))
+    N = congruence_stack(M, S)
+    at_n = score(N)
+    A = gate_invertible(random_gl_stack(n, rngs))
+    lhs, at_na = score(congruence_stack(M, A)), score(congruence_stack(N, A))
+    # Equal-value pairs are constructed, not searched: N is the
+    # SL-congruence when that preserves the value (always, for factoring
+    # costs), and where it does not, f(A^T M A) is compared with itself;
+    # rejection sampling on equality of reals would never terminate.
+    rhs = [[v if cost_values_match(m, m_n, rel_tol) else u
+            for m, m_n, u, v in zip(*per_cost)] for per_cost in zip(at_m, at_n, lhs, at_na)]
+    yield "implication", {"M": M, "N": N, "A": A}, lhs, rhs
 
 
-def _surjectivity_trial(dim, rng, rel_tol):
-    M = random_pd(dim, rng)
-    solved = _solved_scalar(M)
-    yield "surjectivity", {"M": M.entries}, lambda f: (f(M), f(solved))
+def _det_factorization_trial(n, rngs, score, rel_tol):
+    M = random_pd_stack(n, rngs)
+    at_m = score(M)
+    S = gate_invertible(random_gl_stack(n, rngs, unit_det=True))
+    conjugated = score(congruence_stack(M, S))
+    scalar = _solved_scalars(M)
+    yield "sl_conjugation", {"M": M, "S": S}, conjugated, at_m
+    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, score(scalar)
+
+
+def _surjectivity_trial(n, rngs, score, rel_tol):
+    M = random_pd_stack(n, rngs)
+    at_m = score(M)
+    yield "surjectivity", {"M": M}, at_m, score(_solved_scalars(M))
 
 
 _TRIALS = {

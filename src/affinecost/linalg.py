@@ -2,8 +2,15 @@
 
 Value types carry their defining gates (symmetry, positive definiteness,
 orthogonality, invertibility) and refuse construction when a gate fails.
-Conditioning is not a gate: the GL/SL samplers build it in, choosing
-singular values whose ratio stays below their cap.
+Each gate is a function over an (m, n, n) stack, raising on the first
+matrix that fails; a value type gates a stack of one. Conditioning is
+not a gate: the GL/SL samplers build it in, choosing singular values
+whose ratio stays below their cap.
+
+The samplers and congruence work on stacks too, and the one-matrix forms
+are stacks of one over them. A stacked LAPACK or BLAS call gives each
+matrix the bits of its own 2-D call, so a matrix does not depend on the
+stack it was built in (checked for n up to 64).
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds (an int, or a numpy Generator that the sampler
 draws from), so each sampler is a deterministic function of (n, seed)
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,22 +45,108 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix fails the positive definiteness gate."""
 
 
-def _square_entries(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
+def _gate_entries(stack: np.ndarray) -> None:
+    # The gate every value type shares: a bounded dimension, finite entries.
+    n = stack.shape[-1]
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {n}")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    arr.setflags(write=False)
-    return arr
+
+
+def _pd_eigenvalues(stack: np.ndarray) -> tuple:
+    """Eigenvalues of each matrix of a stack, by one batched eigvalsh, and
+    whether each passes the positive definiteness gate: the smallest must
+    exceed PD_EIG_RATIO times the largest."""
+    eigenvalues = np.linalg.eigvalsh(stack)
+    smallest, largest = eigenvalues[:, 0], eigenvalues[:, -1]
+    return eigenvalues, (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
+
+
+def gate_pd(stack: np.ndarray) -> np.ndarray:
+    """The SymPosDefMatrix gate: each matrix finite, symmetric to within
+    SYMMETRY_TOL (relative to its largest entry) and positive definite.
+    Returns the stack."""
+    _gate_entries(stack)
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    if (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL * scale).any():
+        raise ValueError("matrix is not symmetric within tolerance")
+    eigenvalues, passes = _pd_eigenvalues(stack)
+    if not passes.all():
+        low, high = eigenvalues[np.argmin(passes)][[0, -1]]
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite within tolerance "
+            f"(eigenvalue range [{low:.3e}, {high:.3e}])"
+        )
+    return stack
+
+
+def gate_invertible(stack: np.ndarray) -> np.ndarray:
+    """The InvertibleMatrix gate: slogdet must give each matrix a nonzero
+    sign and a finite log-determinant. Returns the stack."""
+    _gate_entries(stack)
+    sign, logabsdet = np.linalg.slogdet(stack)
+    if ((sign == 0.0) | ~np.isfinite(logabsdet)).any():
+        raise ValueError("matrix fails the invertibility gate")
+    return stack
+
+
+def gate_orthogonal(stack: np.ndarray) -> np.ndarray:
+    """The OrthogonalMatrix gate: Q^T Q within ORTHOGONALITY_TOL of the
+    identity for each Q. Returns the stack."""
+    _gate_entries(stack)
+    gram_defect = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(stack.shape[-1])).max()
+    if float(gram_defect) > ORTHOGONALITY_TOL:
+        raise ValueError("matrix is not orthogonal within tolerance")
+    return stack
+
+
+def _cholesky_log_det(chol: np.ndarray):
+    """2 * sum(log(diag)) of a Cholesky factor, or of each in a stack: the
+    one log-det formula of stack_log_dets and gate_stack."""
+    return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
+
+
+def stack_log_dets(stack: np.ndarray) -> list:
+    """log_det of each matrix of a gated stack, by one batched Cholesky."""
+    return _cholesky_log_det(np.linalg.cholesky(stack)).tolist()
+
+
+def gate_stack(stack: np.ndarray) -> tuple:
+    """The positive definiteness gate as a filter, with log-dets from one
+    batched Cholesky.
+
+    The stack must be finite and exactly symmetric, as (C + C^T)/2 of a
+    finite C is, so neither is checked again. Returns (positions,
+    log_dets): the stack positions of the passing matrices in order, and
+    their log-dets.
+    """
+    positions = np.flatnonzero(_pd_eigenvalues(stack)[1])
+    return positions, _cholesky_log_det(np.linalg.cholesky(stack[positions]))
 
 
 @dataclass(frozen=True, eq=False)
-class SymPosDefMatrix:
-    """Symmetric positive definite matrix with 64-bit float entries.
+class _GatedMatrix:
+    """Read-only square matrix of 64-bit floats that passed its type's
+    gate; construction raises when the gate fails."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.entries, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        arr.setflags(write=False)
+        self._gate(arr[None])
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+
+class SymPosDefMatrix(_GatedMatrix):
+    """Symmetric positive definite matrix.
 
     Construction verifies symmetry to within SYMMETRY_TOL (relative to the
     largest entry) and positive definiteness via a symmetric
@@ -61,119 +154,31 @@ class SymPosDefMatrix:
     PD_EIG_RATIO times the largest.
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _square_entries(self.entries)
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > SYMMETRY_TOL * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
-        eigenvalues = np.linalg.eigvalsh(arr)
-        if not _passes_pd_gate(eigenvalues[0], eigenvalues[-1]):
-            raise NotPositiveDefiniteError(
-                "matrix is not positive definite within tolerance "
-                f"(eigenvalue range [{eigenvalues[0]:.3e}, {eigenvalues[-1]:.3e}])"
-            )
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    _gate = staticmethod(gate_pd)
 
     @cached_property
     def _log_det(self) -> float:
         # Instances are immutable, so the Cholesky factorization runs at
         # most once per matrix however many costs evaluate it.
-        return float(_cholesky_log_det(np.linalg.cholesky(self.entries)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymPosDefMatrix":
-        # Instances are immutable, so identity matrices are shared.
-        return _identity_pd(n)
-
-    @classmethod
-    def scalar(cls, n: int, s: float) -> "SymPosDefMatrix":
-        """The scalar matrix s times the identity, s > 0."""
-        if s <= 0.0:
-            raise ValueError(f"scalar matrix requires s > 0, got {s}")
-        return cls(s * np.eye(n))
-
-    @classmethod
-    def diagonal(cls, values) -> "SymPosDefMatrix":
-        return cls(np.diag(np.asarray(values, dtype=np.float64)))
+        return stack_log_dets(self.entries[None])[0]
 
 
-def _passes_pd_gate(smallest, largest):
-    """The positive definiteness gate on extreme eigenvalues; works
-    elementwise on arrays of them too."""
-    return (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
-
-
-def _cholesky_log_det(chol: np.ndarray):
-    """2 * sum(log(diag)) of a Cholesky factor, or of each in a stack: the
-    one log-det formula of log_det and gate_stack."""
-    return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
-
-
-def gate_stack(stack: np.ndarray) -> tuple:
-    """SymPosDefMatrix's gate over an (m, n, n) stack, by one batched
-    eigvalsh, with log-dets from one batched Cholesky.
-
-    The stack must be finite and exactly symmetric, as (C + C^T)/2 of a
-    finite C is, so neither is checked again. Returns (positions,
-    log_dets): the stack positions of the passing matrices in order, and
-    their log-dets.
-    """
-    eigenvalues = np.linalg.eigvalsh(stack)
-    positions = np.flatnonzero(_passes_pd_gate(eigenvalues[:, 0], eigenvalues[:, -1]))
-    return positions, _cholesky_log_det(np.linalg.cholesky(stack[positions]))
-
-
-@lru_cache(maxsize=None)
-def _identity_pd(n: int) -> SymPosDefMatrix:
-    return SymPosDefMatrix(np.eye(n))
-
-
-@dataclass(frozen=True, eq=False)
-class InvertibleMatrix:
+class InvertibleMatrix(_GatedMatrix):
     """Square real matrix passing the invertibility gate: slogdet must
     give a nonzero sign and a finite log-determinant. The gate says
     nothing about conditioning.
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _square_entries(self.entries)
-        sign, logabsdet = np.linalg.slogdet(arr)
-        if sign == 0.0 or not math.isfinite(logabsdet):
-            raise ValueError("matrix fails the invertibility gate")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    _gate = staticmethod(gate_invertible)
 
     def inverse(self) -> "InvertibleMatrix":
         return InvertibleMatrix(np.linalg.inv(self.entries))
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalMatrix:
+class OrthogonalMatrix(_GatedMatrix):
     """Square matrix with Q^T Q within ORTHOGONALITY_TOL of the identity."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _square_entries(self.entries)
-        gram_defect = np.abs(arr.T @ arr - np.eye(arr.shape[0])).max()
-        if float(gram_defect) > ORTHOGONALITY_TOL:
-            raise ValueError("matrix is not orthogonal within tolerance")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    _gate = staticmethod(gate_orthogonal)
 
 
 def congruence(M: SymPosDefMatrix, A) -> SymPosDefMatrix:
@@ -186,8 +191,14 @@ def congruence(M: SymPosDefMatrix, A) -> SymPosDefMatrix:
     """
     if A.n != M.n:
         raise ValueError(f"dimension mismatch: matrix is {M.n}x{M.n}, transform is {A.n}x{A.n}")
-    r = A.entries.T @ M.entries @ A.entries
-    return SymPosDefMatrix((r + r.T) / 2.0)
+    return SymPosDefMatrix(congruence_stack(M.entries[None], A.entries[None])[0])
+
+
+def congruence_stack(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """congruence's entries for each pair of (m, n, n) stacks, ungated; M
+    may be a (1, n, n) stack shared by every A."""
+    r = A.transpose(0, 2, 1) @ M @ A
+    return (r + r.transpose(0, 2, 1)) / 2.0
 
 
 def log_det(M: SymPosDefMatrix) -> float:
@@ -211,60 +222,81 @@ def svd_decompose(A: InvertibleMatrix) -> np.ndarray:
 
 
 def random_pd(n: int, seed) -> SymPosDefMatrix:
-    """Seeded random PD matrix G^T G + shift * I with normal G.
+    """Seeded random PD matrix: random_pd_stack for one seed."""
+    return SymPosDefMatrix(random_pd_stack(n, [np.random.default_rng(seed)])[0])
+
+
+def random_gl(n: int, seed) -> InvertibleMatrix:
+    """Seeded random invertible matrix: random_gl_stack for one seed."""
+    return InvertibleMatrix(random_gl_stack(n, [np.random.default_rng(seed)])[0])
+
+
+def random_sl(n: int, seed) -> InvertibleMatrix:
+    """Seeded random determinant-one matrix: random_gl_stack with
+    unit_det for one seed."""
+    return InvertibleMatrix(random_gl_stack(n, [np.random.default_rng(seed)], unit_det=True)[0])
+
+
+def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
+    """Haar-distributed random orthogonal matrix: random_orthogonal_stack
+    for one seed."""
+    return OrthogonalMatrix(random_orthogonal_stack(n, [np.random.default_rng(seed)])[0])
+
+
+# The stacked samplers draw once from each Generator of rngs, in order, and
+# return the (len(rngs), n, n) stack of entries, ungated.
+
+def _gaussians(n: int, rngs) -> np.ndarray:
+    g = np.empty((len(rngs), n, n))
+    for j, rng in enumerate(rngs):
+        g[j] = rng.standard_normal((n, n))
+    return g
+
+
+def random_pd_stack(n: int, rngs) -> np.ndarray:
+    """G^T G + shift * I with normal G.
 
     The diagonal shift (PD_SHIFT times the mean diagonal of G^T G) caps the
     eigenvalue ratio near n / PD_SHIFT, keeping tolerance-based invariance
     checks meaningful.
     """
-    g = np.random.default_rng(seed).standard_normal((n, n))
-    gram = g.T @ g
-    gram = (gram + gram.T) / 2.0
-    shift = PD_SHIFT * float(np.trace(gram)) / n
-    return SymPosDefMatrix(gram + shift * np.eye(n))
+    g = _gaussians(n, rngs)
+    gram = g.transpose(0, 2, 1) @ g
+    gram = (gram + gram.transpose(0, 2, 1)) / 2.0
+    shift = PD_SHIFT * np.trace(gram, axis1=1, axis2=2) / n
+    return gram + shift[:, None, None] * np.eye(n)
 
 
-def random_gl(n: int, seed) -> InvertibleMatrix:
-    """Seeded random invertible matrix U diag(s) V with Haar orthogonal U
-    and V and log-uniform singular values s in [30**-0.5, 30**0.5), so
-    its condition number is below SAMPLER_CONDITION_CAP."""
-    return _capped_draw(n, seed, unit_det=False)
+def random_gl_stack(n: int, rngs, unit_det: bool = False) -> np.ndarray:
+    """U diag(s) V with Haar orthogonal U and V and log-uniform singular
+    values s in [30**-0.5, 30**0.5), so the condition number is below
+    SAMPLER_CONDITION_CAP. With unit_det, log s is centred to sum 0 and
+    its sign chosen to make det = +1.
 
-
-def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
-    """Haar-distributed random orthogonal matrix.
-
-    QR of a normal matrix, with the signs of the triangular factor's
-    diagonal folded into Q; without the sign fold the distribution is
-    not Haar.
+    The singular vectors of a Gaussian matrix are Haar, so one SVD gives
+    both orthogonal factors; the singular values are replaced by s.
     """
-    g = np.random.default_rng(seed).standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    signs = np.where(d >= 0.0, 1.0, -1.0)
-    return OrthogonalMatrix(q * signs)
-
-
-def random_sl(n: int, seed) -> InvertibleMatrix:
-    """Seeded random determinant-one matrix: random_gl's construction
-    with log s centred to sum 0 and its sign chosen to make det = +1."""
-    return _capped_draw(n, seed, unit_det=True)
-
-
-def _capped_draw(n: int, seed, unit_det: bool) -> InvertibleMatrix:
-    # The singular vectors of a Gaussian matrix are Haar, so one SVD gives
-    # both orthogonal factors; the singular values are replaced by s.
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n))
-    p, _, qt = np.linalg.svd(g)
     half_width = 0.5 * math.log(SAMPLER_CONDITION_CAP)
-    log_s = rng.uniform(-half_width, half_width, n)
+    g = np.empty((len(rngs), n, n))
+    log_s = np.empty((len(rngs), n))
+    for j, rng in enumerate(rngs):
+        g[j] = rng.standard_normal((n, n))
+        log_s[j] = rng.uniform(-half_width, half_width, n)
+    p, _, qt = np.linalg.svd(g)
     if unit_det:
-        log_s -= log_s.sum() / n
+        log_s -= log_s.sum(-1, keepdims=True) / n
     s = np.exp(log_s)
-    if unit_det and np.linalg.det(g) < 0.0:
-        s[0] = -s[0]
-    return InvertibleMatrix((p * s) @ qt)
+    if unit_det:
+        s[np.linalg.det(g) < 0.0, 0] *= -1.0
+    return (p * s[:, None, :]) @ qt
+
+
+def random_orthogonal_stack(n: int, rngs) -> np.ndarray:
+    """QR of a normal matrix, with the signs of the triangular factor's
+    diagonal folded into Q; without the sign fold the distribution is
+    not Haar."""
+    q, r = np.linalg.qr(_gaussians(n, rngs))
+    return q * np.where(r.diagonal(0, -2, -1) >= 0.0, 1.0, -1.0)[:, None, :]
 
 
 def format_matrix(entries) -> str:

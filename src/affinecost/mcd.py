@@ -104,17 +104,10 @@ def subset_mean(dataset: Dataset, indices) -> np.ndarray:
     return dataset.points[list(subset)].mean(axis=0)
 
 
-def _denominator(h: int, normalization: str) -> int:
-    if normalization == "h":
-        return h
-    if normalization == "h-1":
-        return h - 1
-    raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def _covariance_stack(points: np.ndarray, subsets: np.ndarray, denom: int) -> np.ndarray:
+def _covariance_stack(points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Covariances of the index rows of an (m, h) array, each about its own
-    mean and symmetrized as (C + C^T)/2, as one (m, n, n) stack.
+    mean, divided by h and symmetrized as (C + C^T)/2, as one (m, n, n)
+    stack.
 
     Points are finite, so a non-finite covariance can only come from
     float64 overflow; that raises ValueError instead of a numpy warning.
@@ -122,19 +115,17 @@ def _covariance_stack(points: np.ndarray, subsets: np.ndarray, denom: int) -> np
     rows = points[subsets]
     with np.errstate(over="ignore", invalid="ignore"):
         centered = rows - rows.mean(axis=1, keepdims=True)
-        cov = centered.transpose(0, 2, 1) @ centered / denom
+        cov = centered.transpose(0, 2, 1) @ centered / subsets.shape[1]
         stack = (cov + cov.transpose(0, 2, 1)) / 2.0
     if not np.isfinite(stack).all():
         raise ValueError("subset covariance overflows float64; matrix entries must be finite")
     return stack
 
 
-def subset_covariance(dataset: Dataset, indices, normalization: str = "h") -> SymPosDefMatrix:
-    """Covariance of the selected points about their own mean.
+def subset_covariance(dataset: Dataset, indices) -> SymPosDefMatrix:
+    """Covariance of the selected points about their own mean, divided by
+    the number of points h (the scatter-matrix convention).
 
-    normalization is "h" (scatter-matrix convention, the default) or
-    "h-1" (sample covariance); the choice rescales every subset's
-    determinant by the same factor, so it never changes an argmin.
     Requires at least n + 1 points; raises DegenerateSubsetError when the
     points do not span (covariance not positive definite).
     """
@@ -143,16 +134,14 @@ def subset_covariance(dataset: Dataset, indices, normalization: str = "h") -> Sy
     h = len(subset)
     if h <= n:
         raise ValueError(f"need at least {n + 1} points for a full-rank covariance, got {h}")
-    denom = _denominator(h, normalization)
-    cov = _covariance_stack(dataset.points, np.array([subset]), denom)[0]
+    cov = _covariance_stack(dataset.points, np.array([subset]))[0]
     try:
         return SymPosDefMatrix(cov)
     except NotPositiveDefiniteError as exc:
         raise DegenerateSubsetError(f"degenerate subset {subset}: {exc}") from exc
 
 
-def mcd_estimate(dataset: Dataset, h: int, f: CostFunction,
-                 normalization: str = "h") -> EstimateResult:
+def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
     """Exhaustive minimum-cost-covariance estimate.
 
     Enumerates all h-subsets in lexicographic order, skips degenerate
@@ -166,12 +155,11 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction,
     total = math.comb(k, h)
     if total > MAX_SUBSETS:
         raise ValueError(f"C({k}, {h}) = {total} subsets exceeds the {MAX_SUBSETS} guard")
-    denom = _denominator(h, normalization)
     best_subset = best = None
     degenerate = 0
     subsets = combinations(range(k), h)
     while chunk := list(islice(subsets, CHUNK_SUBSETS)):
-        stack = _covariance_stack(dataset.points, np.array(chunk), denom)
+        stack = _covariance_stack(dataset.points, np.array(chunk))
         positions, log_dets = gate_stack(stack)
         degenerate += len(chunk) - len(positions)
         for j, ld in zip(positions.tolist(), log_dets.tolist()):
@@ -183,7 +171,7 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction,
     return EstimateResult(
         mean=subset_mean(dataset, best_subset),
         subset=best_subset,
-        cost_value=f(subset_covariance(dataset, best_subset, normalization)),
+        cost_value=f(subset_covariance(dataset, best_subset)),
         subsets_examined=total,
         degenerate_subsets=degenerate,
     )

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from affinecost.cost import DET_COST, TRACE_COST, KernelSpec, factored_cost
+from affinecost.cost import (
+    DET_COST,
+    TRACE_COST,
+    CostValue,
+    KernelSpec,
+    cost_values_match,
+    factored_cost,
+)
 from affinecost.groups import (
     CommutatorPair,
     ElementaryMatrix,
@@ -257,6 +266,26 @@ class TestKernelMembership:
 
     def test_scaled_identity_not_member(self):
         assert not kernel_membership(InvertibleMatrix(2.0 * np.eye(2)), DET_COST)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e150])
+    def test_determinant_past_float64_not_member(self, scale):
+        # det(A^T A) = scale**4 is outside float64's range; the trivial
+        # kernel answers in log space instead of refusing the determinant.
+        A = InvertibleMatrix(scale * np.eye(2))
+        for f in FACTORED_COSTS:
+            assert not kernel_membership(A, f)
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-8, 1e-3, 0.5])
+    def test_trivial_band_is_the_det_cost_band(self, rel_tol):
+        # Membership holds exactly where cost_values_match(det(A^T A), 1)
+        # holds; compared a hair inside and outside the band's edge.
+        edge = -math.log1p(-rel_tol)
+        for l in (edge * (1 - 1e-6), edge * (1 + 1e-6)):
+            for sign in (1.0, -1.0):
+                A = InvertibleMatrix(np.diag([math.exp(sign * l / 2), 1.0]))
+                gram = CostValue(math.exp(2 * float(np.linalg.slogdet(A.entries)[1])), "det")
+                expected = cost_values_match(gram, CostValue(1.0, "det"), rel_tol)
+                assert kernel_membership(A, DET_COST, rel_tol) == expected
 
     def test_sl_members_under_factored_costs(self):
         for seed in range(50):

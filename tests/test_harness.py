@@ -1,14 +1,24 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from affinecost.cost import DET_COST, IDENTITY_COST, TRACE_COST, KernelSpec, factored_cost
+from affinecost import harness
+from affinecost.cost import (
+    DET_COST,
+    IDENTITY_COST,
+    TRACE_COST,
+    KernelSpec,
+    cost_from_selector,
+    factored_cost,
+)
 from affinecost.harness import (
     ALL_CHECKS,
     MAX_COUNTEREXAMPLES,
     TrialConfig,
     UnrecognizedKernelError,
+    _trial_rng,
     check,
     check_det_factorization,
     estimate_kernel,
@@ -16,7 +26,19 @@ from affinecost.harness import (
     run_all_checks,
     run_invariance_suite,
 )
-from affinecost.linalg import SymPosDefMatrix, parse_matrix
+from affinecost.linalg import (
+    SymPosDefMatrix,
+    congruence,
+    congruence_stack,
+    parse_matrix,
+    random_gl,
+    random_gl_stack,
+    random_orthogonal,
+    random_orthogonal_stack,
+    random_pd,
+    random_pd_stack,
+    random_sl,
+)
 
 QDET_HALF = factored_cost(KernelSpec.lattice(0.5))
 QDET_ONE = factored_cost(KernelSpec.lattice(1.0))
@@ -35,6 +57,9 @@ class TestTrialConfig:
             TrialConfig(dims=())
         with pytest.raises(ValueError, match="dims"):
             TrialConfig(dims=(0,))
+        # Refused before a sampler allocates an n x n stack.
+        with pytest.raises(ValueError, match=r"dims must be in \[1, 64\]"):
+            TrialConfig(dims=(2, 65))
         with pytest.raises(ValueError, match="trials"):
             TrialConfig(trials=0)
         for bad in (0.0, -1e-8, math.nan, math.inf):
@@ -229,3 +254,62 @@ class TestReports:
         assert suite.verdict == "fail"
         body = suite.as_dict()
         assert body["surjectivity"]["covered_fraction"] == 0.0
+
+
+STACK_DIMS = (1, 2, 3, 4, 5, 6, 8, 16, 64)
+SELECTORS = ("det", "qdet:0.5", "qdet:1", "qdet:2", "trace", "identity")
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_stack_of_one_is_a_slice(self, n):
+        # Each one-matrix sampler is a stack of one over its stacked
+        # builder, and every matrix of a stack has the bits of its own
+        # stack of one: a matrix does not depend on its stack.
+        samplers = [
+            (random_pd, random_pd_stack),
+            (random_gl, random_gl_stack),
+            (random_sl, lambda n, rngs: random_gl_stack(n, rngs, unit_det=True)),
+            (random_orthogonal, random_orthogonal_stack),
+        ]
+        for one, stacked in samplers:
+            stack = stacked(n, [_trial_rng(5, "parity", n, t) for t in range(7)])
+            for t in range(7):
+                single = one(n, _trial_rng(5, "parity", n, t)).entries
+                assert single.tobytes() == stack[t].tobytes()
+        ms = random_pd_stack(n, [_trial_rng(6, "parity", n, t) for t in range(7)])
+        gs = random_gl_stack(n, [_trial_rng(7, "parity", n, t) for t in range(7)])
+        stack = congruence_stack(ms, gs)
+        for t in range(7):
+            single = congruence(random_pd(n, _trial_rng(6, "parity", n, t)),
+                                random_gl(n, _trial_rng(7, "parity", n, t)))
+            assert single.entries.tobytes() == stack[t].tobytes()
+
+    def test_reports_do_not_depend_on_chunking(self, monkeypatch):
+        costs = [cost_from_selector(s) for s in SELECTORS]
+        cfg = TrialConfig(dims=(1, 2, 3, 4, 5, 6, 64), trials=10, master_seed=3)
+        default = harness.CHUNK_ENTRIES
+        assert cfg.trials > default // 64**2, "n = 64 must span chunks at the default"
+        bodies = []
+        for chunk in (1, 7, default):
+            monkeypatch.setattr(harness, "CHUNK_ENTRIES", chunk)
+            reports = run_all_checks(costs, cfg)
+            probes = [probe_scalar_surjectivity(f, cfg) for f in costs]
+            bodies.append(json.dumps([[r.as_dict(), p.as_dict()]
+                                      for r, p in zip(reports, probes)]))
+        assert bodies[0] == bodies[1] == bodies[2]
+        # The controls fail, so counterexamples took part in the comparison.
+        assert '"counterexamples": [{' in bodies[0]
+
+    def test_memory_bounded_by_chunk(self):
+        # A pass holds about 11 stacks of at most CHUNK_ENTRIES entries;
+        # unchunked, these 300 trials at n = 64 peaked near 80 MB.
+        cfg = TrialConfig(dims=(64,), trials=300)
+        tracemalloc.start()
+        try:
+            report = check(DET_COST, cfg, "implication")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "pass"
+        assert peak < 16 * 8 * harness.CHUNK_ENTRIES

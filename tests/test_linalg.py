@@ -13,6 +13,9 @@ from affinecost.linalg import (
     SymPosDefMatrix,
     congruence,
     format_matrix,
+    gate_invertible,
+    gate_orthogonal,
+    gate_pd,
     gate_stack,
     log_det,
     parse_matrix,
@@ -27,6 +30,30 @@ from _oracles import det_exact, det_permutation
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=6)
+
+
+class TestStackGates:
+    # The stacked gates raise as the value types do on the first matrix
+    # of the stack that fails.
+    def test_pd_gate_names_the_failing_matrix(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -3.0]), np.eye(2)])
+        with pytest.raises(NotPositiveDefiniteError, match=r"\[-3.000e\+00, 1.000e\+00\]"):
+            gate_pd(stack)
+        assert gate_pd(stack[[0, 2]]) is not None
+
+    def test_pd_gate_rejects_asymmetric_and_nonfinite(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            gate_pd(np.array([np.eye(2), [[1.0, 0.5], [0.2, 1.0]]]))
+        with pytest.raises(ValueError, match="finite"):
+            gate_pd(np.array([np.eye(2), [[1.0, 0.0], [0.0, np.inf]]]))
+
+    def test_invertible_and_orthogonal_gates(self):
+        with pytest.raises(ValueError, match="invertibility"):
+            gate_invertible(np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]]))
+        with pytest.raises(ValueError, match="orthogonal"):
+            gate_orthogonal(np.array([np.eye(2), [[1.0, 0.1], [0.0, 1.0]]]))
+        with pytest.raises(ValueError, match="64"):
+            gate_invertible(np.eye(65)[None])
 
 
 class TestConstructionGates:
@@ -59,7 +86,7 @@ class TestConstructionGates:
             OrthogonalMatrix([[1.0, 0.1], [0.0, 1.0]])
 
     def test_entries_read_only(self):
-        M = SymPosDefMatrix.identity(3)
+        M = SymPosDefMatrix(np.eye(3))
         with pytest.raises(ValueError):
             M.entries[0, 0] = 2.0
 
@@ -72,13 +99,13 @@ class TestCongruence:
 
     def test_identity_input_gives_gram(self):
         A = random_gl(3, 9)
-        out = congruence(SymPosDefMatrix.identity(3), A)
+        out = congruence(SymPosDefMatrix(np.eye(3)), A)
         expected = A.entries.T @ A.entries
         assert np.abs(out.entries - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            congruence(SymPosDefMatrix.identity(2), random_gl(3, 1))
+            congruence(SymPosDefMatrix(np.eye(2)), random_gl(3, 1))
 
     @example(seed=293, n=6)
     @given(seed=seeds, n=dims)
@@ -107,20 +134,20 @@ class TestCongruence:
 
 class TestLogDet:
     def test_identity_is_zero(self):
-        assert log_det(SymPosDefMatrix.identity(5)) == 0.0
+        assert log_det(SymPosDefMatrix(np.eye(5))) == 0.0
 
     def test_diagonal(self):
-        assert log_det(SymPosDefMatrix.diagonal([2.0, 3.0])) == pytest.approx(math.log(6.0), abs=1e-12)
+        assert log_det(SymPosDefMatrix(np.diag([2.0, 3.0]))) == pytest.approx(math.log(6.0), abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_scalar_matrices(self, s, n):
-        assert abs(log_det(SymPosDefMatrix.scalar(n, s)) - n * math.log(s)) <= 1e-12
+        assert abs(log_det(SymPosDefMatrix(s * np.eye(n))) - n * math.log(s)) <= 1e-12
 
     @given(seed=seeds, n=dims)
     def test_gram_against_permutation_oracle(self, seed, n):
         A = random_gl(n, seed)
-        gram = congruence(SymPosDefMatrix.identity(n), A)
+        gram = congruence(SymPosDefMatrix(np.eye(n)), A)
         expected = 2.0 * math.log(abs(det_permutation(A.entries)))
         assert abs(log_det(gram) - expected) <= 1e-9
 
