@@ -7,15 +7,22 @@ lattice kernel with log-constant a gives the quantized determinant cost
 the family: the trace (not affine invariant) and the identity map on
 matrices (affine invariant, but its values do not reduce to a scalar).
 
-Each cost is a float map value(entries, log_det): factoring costs read
-only the log-determinant, controls only the entries. MCD ranks batched
-log-dets through the map; a cost's values on a stack of matrices are
-CostValues, and calling a cost on one matrix is a stack of one.
+Each cost is an array map value(stack, log_dets): factoring costs map a
+float64 array of log-determinants to an array of canonical values, and
+the controls map an (m, n, n) stack of entries. The harness, the kernel
+scan, kernel membership and MCD score whole stacks through it; calling a
+cost on one matrix is a stack of one. Exponentials and powers go through
+libm element by element (math.exp, float pow): numpy's SIMD exp and
+power differ from it in the last bit on some inputs, and reports and
+goldens carry libm's bits.
 
 Cost values carry a canonical real representative plus a class tag;
 equality is tolerance-aware and only defined between values of the same
 tag. Identity-cost values compare by their underlying matrices instead of
-the canonical real, which is merely a fingerprint there.
+the canonical real, which is merely a fingerprint there. CostValues holds
+a cost's values on a stack, and value_discrepancies is the one equality
+rule; the one-value forms (CostValue, cost_value_discrepancy,
+cost_values_match) are stacks of one over it.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ LATTICE_A_MAX = 1024.0
 
 _LN2 = math.log(2.0)
 
+# The log-dets whose exp is a positive normal float64: libm's exp maps
+# these two endpoints back inside the range, and their neighbours outside.
+_LOG_NORMAL_MIN = math.log(sys.float_info.min)
+_LOG_NORMAL_MAX = math.log(sys.float_info.max)
+
 TRIVIAL = "trivial"
 LATTICE = "lattice"
 
@@ -68,8 +80,30 @@ class CostValue:
     payload: Optional[np.ndarray] = None
 
 
-def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
-    """Scalar mismatch measure, held to value_tolerance by every equality.
+@dataclass(frozen=True, eq=False)
+class CostValues:
+    """A cost's values on an (m, n, n) stack: the canonical reals as a
+    float64 array, the class tag, and for matrix-valued costs the stack
+    itself as payload."""
+
+    canonical: np.ndarray
+    class_tag: str
+    payload: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, u: CostValue) -> "CostValues":
+        """The stack of one holding u."""
+        payload = None if u.payload is None else u.payload[None]
+        return cls(np.array([u.canonical]), u.class_tag, payload)
+
+    def __getitem__(self, j: int) -> CostValue:
+        payload = None if self.payload is None else self.payload[j]
+        return CostValue(float(self.canonical[j]), self.class_tag, payload)
+
+
+def value_discrepancies(u: CostValues, v: CostValues) -> np.ndarray:
+    """Elementwise mismatch of two CostValues (either may hold a single
+    value, broadcast), held to value_tolerance by every equality.
 
     For scalar-valued costs this is |u - v| / max(1, |u|, |v|): relative
     above 1 and absolute below it. For matrix-valued costs it is the
@@ -80,19 +114,32 @@ def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
             f"cost values of class {u.class_tag!r} and {v.class_tag!r} are not comparable"
         )
     if u.payload is not None:
-        return float(np.abs(u.payload - v.payload).max())
-    return abs(u.canonical - v.canonical) / max(1.0, abs(u.canonical), abs(v.canonical))
+        return np.abs(u.payload - v.payload).max(axis=(1, 2))
+    a, b = np.abs(u.canonical), np.abs(v.canonical)
+    return np.abs(u.canonical - v.canonical) / np.maximum(1.0, np.maximum(a, b))
 
 
-def value_tolerance(u: CostValue, rel_tol: float) -> float:
-    """The bound cost_value_discrepancy is held to: rel_tol, except that
-    matrix-valued (identity) costs compare entrywise at IDENTITY_ENTRY_TOL."""
+def value_tolerance(u, rel_tol: float) -> float:
+    """The bound value_discrepancies is held to for a CostValue or
+    CostValues u: rel_tol, except that matrix-valued (identity) costs
+    compare entrywise at IDENTITY_ENTRY_TOL."""
     return IDENTITY_ENTRY_TOL if u.payload is not None else rel_tol
 
 
+def values_match(u: CostValues, v: CostValues, rel_tol: float = COST_REL_TOL) -> np.ndarray:
+    """Elementwise tolerance-aware equality; comparing different classes
+    is an error."""
+    return value_discrepancies(u, v) <= value_tolerance(u, rel_tol)
+
+
+def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
+    """value_discrepancies for one pair of values."""
+    return float(value_discrepancies(CostValues.of(u), CostValues.of(v))[0])
+
+
 def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL) -> bool:
-    """Tolerance-aware equality; comparing different classes is an error."""
-    return cost_value_discrepancy(u, v) <= value_tolerance(u, rel_tol)
+    """values_match for one pair of values."""
+    return bool(values_match(CostValues.of(u), CostValues.of(v), rel_tol)[0])
 
 
 @dataclass(frozen=True)
@@ -126,72 +173,84 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Named cost: a float map value(entries, log_det) plus a class tag.
+    """Named cost: an array map value(stack, log_dets) plus a class tag.
 
-    Factoring costs (kernel set) read only log_det; the controls (kernel
-    None) read only entries. compares_entries marks costs whose values
-    compare by their matrices rather than by the float. Evaluation is
-    pure and defined for every dimension n >= 1.
+    value takes an (m, n, n) stack and the m log-dets of its matrices and
+    returns the m canonical values as a float64 array. Factoring costs
+    (kernel set) read only log_dets, so stack may be None; the controls
+    (kernel None) read only the stack, so log_dets may be None.
+    compares_entries marks costs whose values compare by their matrices
+    rather than by the float. Evaluation is pure and defined for every
+    dimension n >= 1.
     """
 
     name: str
     tag: str
-    value: Callable[[np.ndarray, float], float]
+    value: Callable[[Optional[np.ndarray], Optional[np.ndarray]], np.ndarray]
     kernel: Optional[KernelSpec] = None
     compares_entries: bool = False
 
     def __call__(self, M: SymPosDefMatrix) -> CostValue:
         # Controls never read the log-det, so they skip its Cholesky.
-        return self.values(M.entries[None], [log_det(M)] if self.kernel is not None else None)[0]
+        log_dets = np.array([log_det(M)]) if self.kernel is not None else None
+        return self.values(M.entries[None], log_dets)[0]
 
-    def values(self, stack: np.ndarray, log_dets) -> list:
-        """The CostValue of each matrix of an (m, n, n) stack; log_dets,
-        their log-dets, is read by factoring costs only."""
-        if self.kernel is not None:
-            return [CostValue(self.value(None, ld), self.tag) for ld in log_dets]
-        return [CostValue(self.value(e, math.nan), self.tag, e if self.compares_entries else None)
-                for e in stack]
+    def values(self, stack: Optional[np.ndarray], log_dets: Optional[np.ndarray]) -> CostValues:
+        """The cost's values on an (m, n, n) stack with log-dets log_dets."""
+        payload = stack if self.compares_entries else None
+        return CostValues(self.value(stack, log_dets), self.tag, payload)
 
 
-def _det(entries, ld: float) -> float:
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each element of a float64 array."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def _det(stack, log_dets: np.ndarray) -> np.ndarray:
     # Below the normal range every determinant would round to 0.0 or a
-    # subnormal and tie; above it exp overflows.
-    try:
-        value = math.exp(ld)
-    except OverflowError:
-        value = math.inf
-    if not sys.float_info.min <= value < math.inf:
+    # subnormal and tie; above it exp overflows. The range is checked on
+    # the log-dets, before math.exp could raise OverflowError.
+    in_range = (log_dets >= _LOG_NORMAL_MIN) & (log_dets <= _LOG_NORMAL_MAX)
+    if not in_range.all():
+        ld = float(log_dets[np.argmin(in_range)])
         raise ValueError(f"determinant exp({ld:.6g}) is outside the positive normal "
                          f"float64 range [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]")
-    return value
+    return libm_exp(log_dets)
 
 
-def quantize_log2_det(d: float, a: float) -> tuple:
-    """Fold a log2 determinant d into [1, 2**a): returns (k, canonical)
-    with k the unique integer putting 2**(a*k + d) in the interval.
+def fold_log2_dets(d: np.ndarray, a: float) -> tuple:
+    """Fold each log2 determinant of a float64 array d into [1, 2**a):
+    returns (k, canonical), arrays with k[i] the integer (as a float)
+    putting 2**(a*k[i] + d[i]) in the interval.
 
     0 < a < LATTICE_A_MAX, as KernelSpec enforces. Values of d/a within
     QUANT_BOUNDARY_SNAP of an integer snap to it, so determinants sitting
     on a lattice point fold to the lower edge 1.
     """
     r = d / a
-    nearest = round(r)
-    if abs(r - nearest) <= QUANT_BOUNDARY_SNAP:
-        k = -int(nearest)
-    else:
-        k = -math.floor(r)
-    return k, 2.0 ** (a * k + d)
+    nearest = np.round(r)
+    k = -np.where(np.abs(r - nearest) <= QUANT_BOUNDARY_SNAP, nearest, np.floor(r))
+    return k, np.array([2.0 ** x for x in (a * k + d).tolist()])
 
 
-def _trace(entries, ld: float) -> float:
-    return float(np.trace(entries))
+def quantize_log2_det(d: float, a: float) -> tuple:
+    """fold_log2_dets for one log2 determinant: returns (k, canonical)
+    with k an int."""
+    k, canonical = fold_log2_dets(np.array([d]), a)
+    return int(k[0]), float(canonical[0])
 
 
-def _fingerprint(entries, ld: float) -> float:
-    # Collision-resistant digest of the raw entries; equality of identity
-    # values goes through the stored matrix, entrywise.
-    digest = hashlib.blake2b(entries.tobytes(), digest_size=8).digest()
-    return float(int.from_bytes(digest, "big"))
+def _trace(stack: np.ndarray, log_dets) -> np.ndarray:
+    return np.trace(stack, axis1=1, axis2=2)
+
+
+def _fingerprint(stack: np.ndarray, log_dets) -> np.ndarray:
+    # Collision-resistant digest of each matrix's raw entries; equality of
+    # identity values goes through the stored matrices, entrywise.
+    return np.array([
+        float(int.from_bytes(hashlib.blake2b(e.tobytes(), digest_size=8).digest(), "big"))
+        for e in stack
+    ])
 
 
 def factored_cost(kernel: KernelSpec) -> CostFunction:
@@ -201,7 +260,7 @@ def factored_cost(kernel: KernelSpec) -> CostFunction:
         return CostFunction("det", "det", _det, kernel)
     a = kernel.a
     return CostFunction(f"qdet:{a:g}", f"qdet:{a:.17g}",
-                        lambda entries, ld: quantize_log2_det(ld / _LN2, a)[1], kernel)
+                        lambda stack, log_dets: fold_log2_dets(log_dets / _LN2, a)[1], kernel)
 
 
 DET_COST = factored_cost(KernelSpec.trivial())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import COST_REL_TOL, TRIVIAL, CostFunction, CostValue, cost_values_match
+from .cost import COST_REL_TOL, TRIVIAL, CostFunction, values_match
 # congruence stays importable here: perfbench's tracer wraps groups.congruence.
 from .linalg import MAX_DIM, InvertibleMatrix, congruence
 
@@ -204,5 +204,5 @@ def kernel_membership(A: InvertibleMatrix, f: CostFunction,
     log_gram_det = 2.0 * float(np.linalg.slogdet(A.entries)[1])
     if f.kernel.variant == TRIVIAL:
         return rel_tol >= 1.0 or abs(log_gram_det) <= -math.log1p(-rel_tol)
-    gram = CostValue(f.value(None, log_gram_det), f.tag)
-    return cost_values_match(gram, CostValue(f.value(None, 0.0), f.tag), rel_tol)
+    gram, identity = (f.values(None, np.array([ld])) for ld in (log_gram_det, 0.0))
+    return bool(values_match(gram, identity, rel_tol)[0])

@@ -14,8 +14,11 @@ seed, so a report is a deterministic function of its TrialConfig alone
 and independent of execution order. Each (check, dim) draws, gates and
 scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
 entries; a matrix has the same bits in any stack, so chunking changes no
-report. Failures are data, not errors: they are aggregated into reports
-together with fully serialized counterexample inputs.
+report. Each cost scores a whole stack as one CostValues array, and each
+sub-check's discrepancies and fail mask are arrays over the chunk's
+trials. Failures are data, not errors: they are counted from the masks
+and aggregated into reports, and only failing trials are serialized as
+counterexamples.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (CostFunction, CostValue, cost_value_discrepancy, cost_values_match,
-                   value_tolerance)
+from .cost import (CostFunction, CostValues, libm_exp, value_discrepancies, value_tolerance,
+                   values_match)
 from .linalg import (MAX_DIM, congruence_stack, format_matrix, gate_invertible, gate_orthogonal,
                      gate_pd, random_gl_stack, random_orthogonal_stack, random_pd_stack,
                      stack_log_dets)
@@ -187,11 +190,11 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     A kind draws a chunk from its trials' own streams as (trials, n, n)
     stacks and yields (sub_name, inputs, lhs, rhs) tuples: inputs maps
     names to raw stacks, whose slices are serialized only on failure, and
-    lhs and rhs hold each cost's values per trial. Sharing the sampled
-    matrices across costs and kinds changes nothing in any single report:
-    trial streams depend only on (master_seed, kind, dim, trial), and each
-    kind keeps at most MAX_COUNTEREXAMPLES counterexamples per cost, in
-    (dim, trial) order.
+    lhs and rhs hold each cost's CostValues over the chunk. Sharing the
+    sampled matrices across costs and kinds changes nothing in any single
+    report: trial streams depend only on (master_seed, kind, dim, trial),
+    and each kind keeps at most MAX_COUNTEREXAMPLES counterexamples per
+    cost, in (dim, trial, sub-check) order.
     """
     def score(stack) -> list:
         # Gates a stack as SymPosDefMatrix gates each matrix; each cost's
@@ -211,21 +214,22 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                 rngs = [_trial_rng(cfg.master_seed, name, dim, trial) for trial in trials]
                 subs = list(trial_fn(dim, rngs, score, cfg.rel_tol))
                 for slot in range(len(costs)):
-                    for t, trial in enumerate(trials):
-                        for sub_name, inputs, lhs, rhs in subs:
-                            u, v = lhs[slot][t], rhs[slot][t]
-                            disc = cost_value_discrepancy(u, v)
-                            runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
-                            runs += 1
-                            if disc > value_tolerance(u, cfg.rel_tol):
-                                fails += 1
-                                if len(examples[slot]) < caps[slot]:
-                                    serialized = {k: format_matrix(stack[t])
-                                                  for k, stack in inputs.items()}
-                                    examples[slot].append(
-                                        Counterexample(sub_name, dim, trial, serialized)
-                                    )
-                            totals[slot][sub_name] = (runs, fails, max(worst, disc))
+                    failed = []
+                    for sub_name, _, lhs, rhs in subs:
+                        disc = value_discrepancies(lhs[slot], rhs[slot])
+                        mask = disc > value_tolerance(lhs[slot], cfg.rel_tol)
+                        failed.append(mask)
+                        runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
+                        totals[slot][sub_name] = (runs + len(trials), fails + int(mask.sum()),
+                                                  max(worst, float(disc.max())))
+                    for t in np.flatnonzero(np.any(failed, axis=0)).tolist():
+                        for (sub_name, inputs, _, _), mask in zip(subs, failed):
+                            if mask[t] and len(examples[slot]) < caps[slot]:
+                                serialized = {k: format_matrix(stack[t])
+                                              for k, stack in inputs.items()}
+                                examples[slot].append(
+                                    Counterexample(sub_name, dim, trials[t], serialized)
+                                )
     reports = []
     for slot, f in enumerate(costs):
         checks = tuple(
@@ -239,7 +243,7 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
 def _solved_scalars(M) -> np.ndarray:
     # The scalar matrix s*I of each gated M's determinant, s = exp(log_det(M)/n).
     n = M.shape[-1]
-    return np.array([math.exp(ld / n) for ld in stack_log_dets(M)])[:, None, None] * np.eye(n)
+    return libm_exp(stack_log_dets(M) / n)[:, None, None] * np.eye(n)
 
 
 def _gram(A) -> np.ndarray:
@@ -270,6 +274,12 @@ def _svd_collapse_trial(n, rngs, score, rel_tol):
     yield "svd_collapse", {"A": A, "B": B}, full, score(core[:, :, None] * np.eye(n))
 
 
+def _where(mask, v: CostValues, u: CostValues) -> CostValues:
+    # v's values where mask holds, u's elsewhere.
+    payload = None if u.payload is None else np.where(mask[:, None, None], v.payload, u.payload)
+    return CostValues(np.where(mask, v.canonical, u.canonical), u.class_tag, payload)
+
+
 def _implication_trial(n, rngs, score, rel_tol):
     M = random_pd_stack(n, rngs)
     at_m = score(M)
@@ -282,8 +292,8 @@ def _implication_trial(n, rngs, score, rel_tol):
     # SL-congruence when that preserves the value (always, for factoring
     # costs), and where it does not, f(A^T M A) is compared with itself;
     # rejection sampling on equality of reals would never terminate.
-    rhs = [[v if cost_values_match(m, m_n, rel_tol) else u
-            for m, m_n, u, v in zip(*per_cost)] for per_cost in zip(at_m, at_n, lhs, at_na)]
+    rhs = [_where(values_match(m, m_n, rel_tol), v, u)
+           for m, m_n, u, v in zip(at_m, at_n, lhs, at_na)]
     yield "implication", {"M": M, "N": N, "A": A}, lhs, rhs
 
 
@@ -356,19 +366,23 @@ def probe_scalar_surjectivity(f: CostFunction, cfg: TrialConfig) -> Surjectivity
     return SurjectivityReport(f.name, fraction, result.trials_run, report.counterexamples)
 
 
-def _scalar_value(f: CostFunction, log2_t: float) -> CostValue:
-    # f on the scalar matrices of determinant 2**log2_t: a factoring cost
-    # reads only the log-det, so no matrix is built.
-    return CostValue(f.value(None, log2_t * math.log(2.0)), f.tag)
+def _scalar_values(f: CostFunction, log2_t: np.ndarray) -> CostValues:
+    # f on the scalar matrices of determinants 2**log2_t: a factoring cost
+    # reads only the log-dets, so no matrix is built.
+    return f.values(None, log2_t * math.log(2.0))
+
+
+def _scalar_value(f: CostFunction, log2_t: float) -> float:
+    return float(_scalar_values(f, np.array([log2_t])).canonical[0])
 
 
 def _bisect_drop(f: CostFunction, d_lo: float, d_hi: float) -> float:
     """Locate the discontinuity where the canonical value falls back to
     the interval base, given that it drops between d_lo and d_hi."""
-    ref = _scalar_value(f, d_lo).canonical
+    ref = _scalar_value(f, d_lo)
     while d_hi - d_lo > KERNEL_BISECTION_TOL:
         mid = 0.5 * (d_lo + d_hi)
-        mid_value = _scalar_value(f, mid).canonical
+        mid_value = _scalar_value(f, mid)
         if mid_value >= ref:
             d_lo, ref = mid, mid_value
         else:
@@ -395,27 +409,25 @@ def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
             f"cost {f.name!r} does not factor through the determinant; "
             "scalar scans cannot identify a kernel"
         )
-    base = _scalar_value(f, 0.0)
-    kernel_points: list = []
-    prev_d, prev_c, prev_flagged = 0.0, base.canonical, False
+    base = _scalar_values(f, np.zeros(1))
     # Dyadic log2 grid: m/512 for m = 1..2048, exactly representable.
-    for m in range(1, KERNEL_GRID_POINTS + 1):
-        d = m * (KERNEL_LOG2_MAX / KERNEL_GRID_POINTS)
-        value = _scalar_value(f, d)
-        flagged = cost_values_match(value, base, cfg.rel_tol)
-        if flagged:
-            kernel_points.append(d)
-        elif value.canonical < prev_c * (1.0 - 1e-9) and not prev_flagged:
-            # A canonical drop between neighbors brackets a kernel point.
-            # An equality flag at either endpoint already locates it
-            # exactly; otherwise bisection narrows the drop (to within the
-            # quantizer's boundary-snap width of the true point).
-            kernel_points.append(_bisect_drop(f, prev_d, d))
-        prev_d, prev_c, prev_flagged = d, value.canonical, flagged
+    grid = np.arange(1, KERNEL_GRID_POINTS + 1) * (KERNEL_LOG2_MAX / KERNEL_GRID_POINTS)
+    values = _scalar_values(f, grid)
+    flagged = values_match(values, base, cfg.rel_tol)
+    # A canonical drop between unflagged neighbors brackets a kernel point.
+    # An equality flag at either endpoint already locates it exactly;
+    # otherwise bisection narrows the drop (to within the quantizer's
+    # boundary-snap width of the true point).
+    prev_c = np.concatenate((base.canonical, values.canonical[:-1]))
+    prev_flagged = np.concatenate(([False], flagged[:-1]))
+    drops = ~flagged & ~prev_flagged & (values.canonical < prev_c * (1.0 - 1e-9))
+    prev_d = np.concatenate(([0.0], grid[:-1]))
+    kernel_points = grid[flagged].tolist() + [
+        _bisect_drop(f, lo, hi) for lo, hi in zip(prev_d[drops].tolist(), grid[drops].tolist())]
     if not kernel_points:
         # A lattice constant past the scan folds f(1/16) above f(1); its
         # bound a < 1024 keeps the quantizer's boundary snap from hiding that.
-        if _scalar_value(f, -KERNEL_LOG2_MAX).canonical >= base.canonical:
+        if _scalar_value(f, -KERNEL_LOG2_MAX) >= base.canonical[0]:
             raise UnrecognizedKernelError(
                 "no kernel point in the scan, but f(1/16) >= f(1): "
                 "the lattice constant is past the scan"
@@ -442,9 +454,9 @@ def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
         )
     # Between lattice points the folded value climbs from f(1); a constant
     # below the grid's resolution aliases onto grid points instead.
-    rise = [base] + [_scalar_value(f, j * a_estimate / 64) for j in range(1, 64)]
-    if any(cost_values_match(v, base, cfg.rel_tol) or u.canonical >= v.canonical
-           for u, v in zip(rise, rise[1:])):
+    rise = _scalar_values(f, np.arange(1, 64) * a_estimate / 64)
+    climb = np.concatenate((base.canonical, rise.canonical))
+    if values_match(rise, base, cfg.rel_tol).any() or (climb[:-1] >= climb[1:]).any():
         raise UnrecognizedKernelError(
             f"f does not rise strictly between kernel points {a_estimate:.6g} apart: "
             "the lattice constant is below the scan's resolution"

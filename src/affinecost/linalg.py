@@ -107,9 +107,9 @@ def _cholesky_log_det(chol: np.ndarray):
     return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
 
 
-def stack_log_dets(stack: np.ndarray) -> list:
+def stack_log_dets(stack: np.ndarray) -> np.ndarray:
     """log_det of each matrix of a gated stack, by one batched Cholesky."""
-    return _cholesky_log_det(np.linalg.cholesky(stack)).tolist()
+    return _cholesky_log_det(np.linalg.cholesky(stack))
 
 
 def gate_stack(stack: np.ndarray) -> tuple:
@@ -160,7 +160,7 @@ class SymPosDefMatrix(_GatedMatrix):
     def _log_det(self) -> float:
         # Instances are immutable, so the Cholesky factorization runs at
         # most once per matrix however many costs evaluate it.
-        return stack_log_dets(self.entries[None])[0]
+        return float(stack_log_dets(self.entries[None])[0])
 
 
 class InvertibleMatrix(_GatedMatrix):

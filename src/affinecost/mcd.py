@@ -9,13 +9,15 @@ of scope and a combinatorial guard keeps runs at desk scale.
 Subsets are scored in lexicographic chunks of CHUNK_SUBSETS: each chunk's
 covariances are built as one stack, which one batched eigvalsh passes
 through SymPosDefMatrix's gate and one batched Cholesky gives log-dets.
-The float map f.value(entries, log_det) then scores each passing
-covariance in order, with no per-subset matrix or cost value. A later
-subset wins only when lower by more than COST_REL_TOL * max(|best|,
-|value|), so the lexicographically smallest subset wins ties whatever the
-chunking, and scaling the data (every determinant by one factor) keeps
-the winner. The reported CostValue is f(subset_covariance(best)), built
-for the winner alone.
+One call of the cost's array map f.value(stack, log_dets) then scores
+every passing covariance of the chunk, with no per-subset matrix or cost
+value. A later subset wins only when lower by more than COST_REL_TOL *
+max(|best|, |value|), so the lexicographically smallest subset wins ties
+whatever the chunking, and scaling the data (every determinant by one
+factor) keeps the winner. Cost values are nonnegative, so a subset that
+wins is below every value scored before it, and the chain visits only
+those strict running minima. The reported CostValue is
+f(subset_covariance(best)), built for the winner alone.
 
 With the determinant cost the estimator is affine equivariant:
 transforming the data by x -> A x + b moves the estimate the same way.
@@ -145,7 +147,7 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
     """Exhaustive minimum-cost-covariance estimate.
 
     Enumerates all h-subsets in lexicographic order, skips degenerate
-    ones, and minimizes f.value over subset covariances. Ties within the
+    ones, and minimizes f over subset covariances. Ties within the
     relative band COST_REL_TOL keep the lexicographically smallest subset.
     The reported cost is f(subset_covariance(dataset, best)).
     """
@@ -157,15 +159,22 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
         raise ValueError(f"C({k}, {h}) = {total} subsets exceeds the {MAX_SUBSETS} guard")
     best_subset = best = None
     degenerate = 0
+    lowest = math.inf
     subsets = combinations(range(k), h)
     while chunk := list(islice(subsets, CHUNK_SUBSETS)):
         stack = _covariance_stack(dataset.points, np.array(chunk))
         positions, log_dets = gate_stack(stack)
         degenerate += len(chunk) - len(positions)
-        for j, ld in zip(positions.tolist(), log_dets.tolist()):
-            value = f.value(stack[j], ld)
+        values = f.value(stack[positions], log_dets)
+        # Costs are nonnegative, so a value that replaces the incumbent lies
+        # below every value since the last replacement: only strict
+        # running minima can win.
+        running = np.minimum.accumulate(np.concatenate(([lowest], values)))
+        minima = np.flatnonzero(values < running[:-1])
+        for j, value in zip(positions[minima].tolist(), values[minima].tolist()):
             if best_subset is None or best - value > COST_REL_TOL * max(abs(best), abs(value)):
                 best_subset, best = chunk[j], value
+        lowest = float(running[-1])
     if best_subset is None:
         raise ValueError("every subset is degenerate; no estimate exists")
     return EstimateResult(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from affinecost.cost import (
     COST_REL_TOL,
     DET_COST,
     IDENTITY_COST,
+    QUANT_BOUNDARY_SNAP,
     TRACE_COST,
     CostValue,
+    CostValues,
     KernelSpec,
     cost_from_selector,
     cost_value_discrepancy,
     cost_values_match,
     factored_cost,
+    fold_log2_dets,
     quantize_log2_det,
+    value_discrepancies,
 )
 from affinecost.linalg import (
     InvertibleMatrix,
@@ -26,6 +31,7 @@ from affinecost.linalg import (
     random_pd,
     random_sl,
 )
+from affinecost.mcd import Dataset, mcd_estimate
 
 from _oracles import enumerate_quantizer
 
@@ -260,6 +266,122 @@ class TestCostValueComparison:
         assert cost_value_discrepancy(CostValue(0.5, "det"), CostValue(0.25, "det")) == 0.25
 
 
+# Inputs on which numpy's SIMD exp and power (AVX-512 builds) differ from
+# libm's exp and pow in the last bit: log-dets for exp, and log2
+# determinants in [0, 0.3), which every constant below folds to
+# themselves, for pow. The array maps must keep libm's bits on them.
+EXP_DIFFERS = [float.fromhex(x) for x in (
+    "-0x1.963b413866568p+7", "0x1.62e9cdd8a2c10p+6", "-0x1.04a6cb720f584p+8",
+    "0x1.192d5ff2b4036p+8", "0x1.14e15de03e730p+5", "0x1.729db056be3b0p+8")]
+POW_DIFFERS = [float.fromhex(x) for x in (
+    "0x1.37f9aac4f1bcfp-3", "0x1.3eef21d6f7d57p-3", "0x1.0830a88e320c1p-3",
+    "0x1.6d5fd7a86a627p-3")]
+PARITY_CONSTANTS = [0.3, 0.5, 1.0, 2.0]
+
+
+def scalar_fold(d, a):
+    """The quantizer one float at a time, as Python arithmetic."""
+    r = d / a
+    nearest = round(r)
+    k = -int(nearest) if abs(r - nearest) <= QUANT_BOUNDARY_SNAP else -math.floor(r)
+    return 2.0 ** (a * k + d)
+
+
+def same_bits(got, expected):
+    return np.asarray(got, dtype=np.float64).tobytes() == np.array(expected).tobytes()
+
+
+class TestArrayMapParity:
+    # The array maps return, bit for bit, what math.exp and float pow give
+    # element by element: reports and goldens carry libm's bits.
+
+    def test_det_is_libm_exp(self):
+        rng = np.random.default_rng(20)
+        log_dets = np.concatenate([rng.uniform(-700.0, 700.0, 100_000),
+                                   rng.standard_normal(20_000) * 10.0,
+                                   EXP_DIFFERS, [0.0, -0.0]])
+        assert same_bits(DET_COST.value(None, log_dets), [math.exp(x) for x in log_dets.tolist()])
+
+    @pytest.mark.parametrize("a", PARITY_CONSTANTS)
+    def test_qdet_is_libm_pow(self, a):
+        rng = np.random.default_rng([21, int(10 * a)])
+        # d/a at +-0.5 and +-2 snap widths of integers: inside and outside
+        # the quantizer's boundary snap.
+        near = [a * (j + s * QUANT_BOUNDARY_SNAP) for j in range(-4, 5) for s in (-2, -0.5, 0.5, 2)]
+        log2_dets = np.concatenate([rng.uniform(-60.0, 60.0, 100_000), near,
+                                    POW_DIFFERS, [0.0, -0.0]])
+        _, folded = fold_log2_dets(log2_dets, a)
+        expected = [scalar_fold(d, a) for d in log2_dets.tolist()]
+        assert same_bits(folded, expected)
+        log_dets = log2_dets * math.log(2.0)
+        assert same_bits(cost_from_selector(f"qdet:{a:g}").value(None, log_dets),
+                         [scalar_fold(x / math.log(2.0), a) for x in log_dets.tolist()])
+
+    def test_snap_window_edges(self):
+        # Half a snap width from an integer folds to the lower edge (up to
+        # the offset); two widths below folds to the top of the interval.
+        for a in PARITY_CONSTANTS:
+            _, folded = fold_log2_dets(np.array([a * (3 - 0.5 * QUANT_BOUNDARY_SNAP),
+                                                 a * (3 - 2 * QUANT_BOUNDARY_SNAP)]), a)
+            assert folded[0] == pytest.approx(1.0, abs=1e-5)
+            assert folded[1] == pytest.approx(2.0 ** a, rel=1e-4)
+
+    def test_signed_zero_folds_to_one(self):
+        for a in PARITY_CONSTANTS:
+            _, folded = fold_log2_dets(np.array([0.0, -0.0]), a)
+            assert folded.tolist() == [1.0, 1.0]
+            assert quantize_log2_det(-0.0, a) == (0, 1.0)
+
+    def test_controls_map_stacks(self):
+        stack = np.array([random_pd(3, seed).entries for seed in range(5)])
+        assert TRACE_COST.value(stack, None).tolist() == [
+            TRACE_COST(SymPosDefMatrix(e)).canonical for e in stack]
+        assert IDENTITY_COST.value(stack, None).tolist() == [
+            IDENTITY_COST(SymPosDefMatrix(e)).canonical for e in stack]
+
+    def test_discrepancies_match_one_value_rule(self):
+        rng = np.random.default_rng(22)
+        u, v = rng.uniform(0.0, 3.0, 500), rng.uniform(0.0, 3.0, 500)
+        disc = value_discrepancies(CostValues(u, "det"), CostValues(v, "det"))
+        assert same_bits(disc, [abs(x - y) / max(1.0, abs(x), abs(y))
+                                for x, y in zip(u.tolist(), v.tolist())])
+        assert disc.tolist() == [cost_value_discrepancy(CostValue(x, "det"), CostValue(y, "det"))
+                                 for x, y in zip(u.tolist(), v.tolist())]
+
+
+class TestDetRange:
+    @pytest.mark.parametrize("log_det", [800.0, -800.0, math.inf, -math.inf, math.nan])
+    def test_out_of_range_log_det_raises_value_error(self, log_det):
+        # Checked before exponentiating: math.exp(800) alone would raise
+        # OverflowError, which no caller turns into a one-line exit.
+        with pytest.raises(ValueError, match="float64 range"):
+            DET_COST.value(None, np.array([0.0, log_det, 1.0]))
+
+    def test_first_offender_is_reported(self):
+        with pytest.raises(ValueError, match=r"exp\(-720\) is outside"):
+            DET_COST.value(None, np.array([1.0, -720.0, 720.0]))
+
+    def test_range_edges(self):
+        # The largest and smallest log-dets with a normal float64 exp
+        # pass; their neighbours outside raise.
+        lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+        values = DET_COST.value(None, np.array([lo, hi]))
+        assert sys.float_info.min <= values[0] and values[1] <= sys.float_info.max
+        for outside in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(ValueError, match="float64 range"):
+                DET_COST.value(None, np.array([outside]))
+
+    @pytest.mark.parametrize("scale,log_det", [(1e150, "1380.92"), (1e-100, "-921.669")])
+    def test_scaled_data_message(self, scale, log_det):
+        # The same one-line message as before the array maps, naming the
+        # first subset's log-det in enumeration order.
+        data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * scale)
+        with pytest.raises(ValueError) as info:
+            mcd_estimate(data, 4, DET_COST)
+        assert str(info.value) == (f"determinant exp({log_det}) is outside the positive normal "
+                                   "float64 range [2.23e-308, 1.8e+308]")
+
+
 class TestKernelSpec:
     def test_lattice_requires_positive_constant(self):
         with pytest.raises(ValueError, match="a > 0"):
@@ -276,7 +398,7 @@ class TestKernelSpec:
         # Just below the bound the fold of a determinant below 1 lands
         # near 2**a, still finite.
         f = factored_cost(KernelSpec.lattice(1023.9))
-        value = f.value(None, -0.5)
+        (value,) = f.value(None, np.array([-0.5])).tolist()
         assert math.isfinite(value) and value > 2.0 ** 1023
 
     def test_trivial_takes_no_constant(self):

@@ -9,6 +9,7 @@ from affinecost.cost import (
     DET_COST,
     IDENTITY_COST,
     TRACE_COST,
+    CostFunction,
     KernelSpec,
     factored_cost,
 )
@@ -278,6 +279,72 @@ class TestChunkedParity:
         data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * 1e200)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             mcd_estimate(data, 4, DET_COST)
+
+
+def ladder_cost(dataset, h, values):
+    """A control cost whose value on each subset covariance is the next
+    of values, in lexicographic subset order; degenerate subsets take
+    none, and a covariance met again keeps its first value."""
+    table = {}
+    ladder = iter(values)
+    for subset in combinations(range(dataset.k), h):
+        try:
+            entries = subset_covariance(dataset, subset).entries
+        except DegenerateSubsetError:
+            continue
+        table.setdefault(entries.tobytes(), next(ladder))
+    return CostFunction("ladder", "ladder",
+                        lambda stack, log_dets: np.array([table[e.tobytes()] for e in stack]))
+
+
+def band_ladders(count, scale, seed):
+    """Descending ladders with steps of 0 to 1.3 tie bands, some exactly
+    0, each starting within two bands of the previous ladder's foot, with
+    a far value between ladders."""
+    rng = np.random.default_rng(seed)
+    values, top = [], scale
+    while len(values) < count:
+        steps = rng.uniform(0.0, 1.3, int(rng.integers(2, 9)))
+        steps[rng.random(len(steps)) < 0.2] = 0.0
+        ladder = top * np.cumprod(1.0 - COST_REL_TOL * steps)
+        values.extend(ladder.tolist() + [5.0 * scale])
+        top = ladder[-1] * (1.0 + COST_REL_TOL * rng.uniform(-2.0, 2.0))
+    return values[:count]
+
+
+class TestRunningMinimaFilter:
+    # mcd_estimate visits only strict running minima of each chunk's
+    # values; reference_mcd runs the tie chain over every subset.
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, CHUNK_SUBSETS])
+    @pytest.mark.parametrize("n,k,h", [(1, 9, 4), (2, 10, 5)])
+    def test_matches_unfiltered_chain(self, n, k, h, chunk, monkeypatch):
+        monkeypatch.setattr("affinecost.mcd.CHUNK_SUBSETS", chunk)
+        chain_not_argmin = 0
+        for seed in range(3):
+            data = parity_dataset(n, k, h, seed)
+            for scale in (1.0, 1e-6):
+                values = band_ladders(math.comb(k, h), scale, [seed, n, k])
+                f = ladder_cost(data, h, values)
+                subset, value, examined, degenerate = reference_mcd(data, h, f)
+                result = mcd_estimate(data, h, f)
+                assert degenerate >= 1
+                assert result.subset == subset
+                assert result.cost_value.canonical == value.canonical
+                assert result.degenerate_subsets == degenerate
+                chain_not_argmin += value.canonical != min(values)
+        # The tie band decides: the chain's winner is often not the minimum.
+        assert chain_not_argmin >= 3
+
+    def test_band_chain_pinned(self):
+        # Today's chain: (0, 1, 3) is within the band of (0, 1, 2) and does
+        # not replace it; (0, 2, 3) is more than a band below and does.
+        # ROADMAP item 3's lexicographic rule changes this on purpose, to
+        # (0, 1, 3), the smallest subset within the band of the minimum.
+        data = Dataset([[0.0], [1.0], [3.0], [7.0]])
+        f = ladder_cost(data, 3, [1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8, 5.0])
+        assert mcd_estimate(data, 3, f).subset == (0, 2, 3)
+        assert reference_mcd(data, 3, f)[0] == (0, 2, 3)
 
 
 class TestAffineTransform:
