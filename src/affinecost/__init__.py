@@ -5,7 +5,7 @@ construction and controls, randomized verification of the invariance
 identities, constructive determinant-one group structure, kernel lattice
 estimation, and the exhaustive minimum covariance determinant estimator.
 The package namespace carries what the experiment scripts use; the rest
-lives in the submodules (cost, harness, groups, linalg, mcd, cli).
+lives in the submodules (cost, harness, rng, groups, linalg, mcd, cli).
 """
 
 __version__ = "0.1.0"

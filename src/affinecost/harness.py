@@ -11,8 +11,12 @@ of a cost that factors through the determinant. Kernel estimation reads
 the cost's value map on log-determinants and builds no matrix.
 Every check samples matrices through per-trial seeds split off a master
 seed, so a report is a deterministic function of its TrialConfig alone
-and independent of execution order. Each (check, dim) draws, gates and
-scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
+and independent of execution order. A trial's stream is
+np.random.default_rng of the 64-bit blake2b key of (master seed, check,
+dim, trial); each chunk's Generators are seeded in one batch by
+rng.default_rngs, which computes SeedSequence's state for all its keys at
+once, and give those streams bit for bit. Each (check, dim) draws, gates
+and scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
 entries; a matrix has the same bits in any stack, so chunking changes no
 report. Each cost scores a whole stack as one CostValues array, and each
 sub-check's discrepancies and fail mask are arrays over the chunk's
@@ -174,12 +178,31 @@ class KernelEstimate:
         }
 
 
+def _trial_rngs(master_seed: int, check_name: str, dim: int, trials) -> list:
+    """The Generators of trials, each np.random.default_rng of its trial's
+    64-bit blake2b key, seeded together by rng.default_rngs.
+
+    Counter-based split: each trial gets its own stream, independent of
+    execution order, so reports never depend on scheduling.
+    """
+    # Imported on first use, as np.random is: loading numpy.random costs
+    # about 12 ms and 2.5 MB, which commands that draw nothing skip.
+    from .rng import default_rngs
+
+    # The key hashes f"{master_seed}|{check_name}|{dim}|{trial}"; the
+    # prefix is hashed once and copied for each trial.
+    prefix = hashlib.blake2b(f"{master_seed}|{check_name}|{dim}|".encode(), digest_size=8)
+    digests = []
+    for trial in trials:
+        key = prefix.copy()
+        key.update(str(trial).encode())
+        digests.append(key.digest())
+    return default_rngs(np.frombuffer(b"".join(digests), dtype=">u8"))
+
+
 def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.random.Generator:
-    # Counter-based split: each trial gets its own stream, independent of
-    # execution order, so reports never depend on scheduling.
-    key = f"{master_seed}|{check_name}|{dim}|{trial}".encode()
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+    """One trial's Generator: _trial_rngs for a stack of one."""
+    return _trial_rngs(master_seed, check_name, dim, (trial,))[0]
 
 
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
@@ -211,7 +234,7 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
             step = max(1, CHUNK_ENTRIES // dim**2)
             for first in range(0, cfg.trials, step):
                 trials = range(first, min(first + step, cfg.trials))
-                rngs = [_trial_rng(cfg.master_seed, name, dim, trial) for trial in trials]
+                rngs = _trial_rngs(cfg.master_seed, name, dim, trials)
                 subs = list(trial_fn(dim, rngs, score, cfg.rel_tol))
                 for slot in range(len(costs)):
                     failed = []

@@ -248,8 +248,8 @@ def random_orthogonal(n: int, seed) -> OrthogonalMatrix:
 
 def _gaussians(n: int, rngs) -> np.ndarray:
     g = np.empty((len(rngs), n, n))
-    for j, rng in enumerate(rngs):
-        g[j] = rng.standard_normal((n, n))
+    for rng, out in zip(rngs, g):
+        rng.standard_normal(out=out)
     return g
 
 
@@ -278,10 +278,13 @@ def random_gl_stack(n: int, rngs, unit_det: bool = False) -> np.ndarray:
     """
     half_width = 0.5 * math.log(SAMPLER_CONDITION_CAP)
     g = np.empty((len(rngs), n, n))
-    log_s = np.empty((len(rngs), n))
-    for j, rng in enumerate(rngs):
-        g[j] = rng.standard_normal((n, n))
-        log_s[j] = rng.uniform(-half_width, half_width, n)
+    u = np.empty((len(rngs), n))
+    for rng, g_out, u_out in zip(rngs, g, u):
+        rng.standard_normal(out=g_out)
+        rng.random(out=u_out)
+    # rng.uniform(-half_width, half_width, n), which computes
+    # low + (high - low) * next_double for each of the draws.
+    log_s = -half_width + (2.0 * half_width) * u
     p, _, qt = np.linalg.svd(g)
     if unit_det:
         log_s -= log_s.sum(-1, keepdims=True) / n

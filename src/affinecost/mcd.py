@@ -147,11 +147,16 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
     """Exhaustive minimum-cost-covariance estimate.
 
     Enumerates all h-subsets in lexicographic order, skips degenerate
-    ones, and minimizes f over subset covariances. Ties within the
-    relative band COST_REL_TOL keep the lexicographically smallest subset.
-    The reported cost is f(subset_covariance(dataset, best)).
+    ones, and minimizes f over subset covariances. The dataset needs at
+    least n + 1 points, and n + 1 <= h <= k. Ties within the relative
+    band COST_REL_TOL keep the lexicographically smallest subset. The
+    reported cost is f(subset_covariance(dataset, best)).
     """
     k, n = dataset.k, dataset.n
+    if k < n + 1:
+        # Otherwise the bounds below would name an empty range.
+        raise ValueError(f"MCD needs at least n + 1 = {n + 1} points in {n} "
+                         f"dimension{'s' * (n != 1)}, and the input has {k}")
     if not (n + 1 <= h <= k):
         raise ValueError(f"h must satisfy {n + 1} <= h <= {k}, got {h}")
     total = math.comb(k, h)

@@ -181,6 +181,16 @@ class TestMcdCommand:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    def test_too_few_points_is_one_line_input_error(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code = main(["mcd", "--input", str(path), "--h", "1"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{path}: MCD needs at least n + 1 = 3 points in 2 dimensions, "
+                                "and the input has 1\n")
+
     def test_missing_file(self, capsys):
         code = main(["mcd", "--input", "/nonexistent.csv", "--h", "3"])
         assert code == EXIT_INPUT

@@ -1,7 +1,12 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from affinecost import harness
@@ -19,6 +24,7 @@ from affinecost.harness import (
     TrialConfig,
     UnrecognizedKernelError,
     _trial_rng,
+    _trial_rngs,
     check,
     check_det_factorization,
     estimate_kernel,
@@ -39,6 +45,7 @@ from affinecost.linalg import (
     random_pd_stack,
     random_sl,
 )
+from affinecost.rng import _seed_states, default_rngs
 
 QDET_HALF = factored_cost(KernelSpec.lattice(0.5))
 QDET_ONE = factored_cost(KernelSpec.lattice(1.0))
@@ -313,3 +320,95 @@ class TestStackedEvaluation:
             tracemalloc.stop()
         assert report.verdict == "pass"
         assert peak < 16 * 8 * harness.CHUNK_ENTRIES
+
+
+def blake2b_key(master_seed, check_name, dim, trial) -> int:
+    # A trial's 64-bit key, written out independently of the harness.
+    text = f"{master_seed}|{check_name}|{dim}|{trial}".encode()
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+
+
+EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+class TestTrialSeeding:
+    def test_states_match_seed_sequence(self):
+        keys = [blake2b_key(seed, name, dim, trial)
+                for seed in (0, 41, 12345) for name in ALL_CHECKS + ("surjectivity",)
+                for dim in (1, 2, 3, 4, 5, 6) for trial in range(100)]
+        assert len(keys) >= 10_000
+        # Keys below 2**32 have one 32-bit word; they share the batch with
+        # keys of two.
+        keys[5000:5000] = EDGE_KEYS
+        states = _seed_states(np.array(keys, dtype=np.uint64))
+        for key, row in zip(keys, states):
+            expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert row.tobytes() == expected.tobytes(), key
+
+    def test_rows_are_contiguous_uint64_words(self):
+        # PCG64 reads the four words of a row from its memory directly.
+        states = _seed_states(np.array(EDGE_KEYS, dtype=np.uint64))
+        assert states.shape == (len(EDGE_KEYS), 4)
+        for row in states:
+            assert row.dtype == np.uint64
+            assert row.shape == (4,)
+            assert row.flags.c_contiguous
+
+    def test_edge_keys_match_default_rng(self):
+        for key, rng in zip(EDGE_KEYS, default_rngs(EDGE_KEYS)):
+            reference = np.random.default_rng(key)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.standard_normal(9).tobytes() == reference.standard_normal(9).tobytes()
+
+    @pytest.mark.parametrize("seed, name, dim", [(0, "implication", 1), (41, "svd_collapse", 6),
+                                                 (12345, "parity", 64)])
+    def test_generators_match_default_rng(self, seed, name, dim):
+        for trial, rng in enumerate(_trial_rngs(seed, name, dim, range(40))):
+            reference = np.random.default_rng(blake2b_key(seed, name, dim, trial))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            for draw in (lambda g: g.standard_normal(9), lambda g: g.uniform(-1.7, 1.7, 5),
+                         lambda g: g.random(3)):
+                assert draw(rng).tobytes() == draw(reference).tobytes()
+
+    def test_chunk_matches_one_by_one(self):
+        chunk = _trial_rngs(7, "orthogonal", 3, range(5, 40))
+        for trial, rng in zip(range(5, 40), chunk):
+            single = _trial_rng(7, "orthogonal", 3, trial)
+            assert rng.bit_generator.state == single.bit_generator.state
+            assert rng.standard_normal(4).tobytes() == single.standard_normal(4).tobytes()
+
+    def test_sweep_builds_one_generator_per_trial(self, monkeypatch):
+        # Every trial stream comes from the batched seed states; the
+        # harness never seeds through default_rng.
+        built = []
+        generator = np.random.Generator
+
+        def counting(bit_generator):
+            built.append(1)
+            return generator(bit_generator)
+
+        def refused(seed=None):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "Generator", counting)
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        cfg = TrialConfig(dims=(1, 2, 3, 4, 5, 6), trials=100, master_seed=2026)
+        reports = run_all_checks([DET_COST, QDET_HALF, QDET_ONE, QDET_TWO], cfg)
+        assert all(r.verdict == "pass" for r in reports)
+        assert len(built) == len(ALL_CHECKS) * 6 * 100
+
+    def test_commands_that_draw_nothing_leave_numpy_random_unloaded(self, tmp_path):
+        # The seeding module and numpy.random load on the first draw only.
+        points = tmp_path / "points.csv"
+        points.write_text("0\n0.1\n0.2\n10\n")
+        script = (
+            "import sys\n"
+            "from affinecost.cli import main\n"
+            f"assert main(['mcd', '--input', {str(points)!r}, '--h', '3']) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "assert 'affinecost.rng' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert result.returncode == 0, result.stderr

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from affinecost.linalg import (
+    PD_SHIFT,
     SAMPLER_CONDITION_CAP,
     InvertibleMatrix,
     NotPositiveDefiniteError,
@@ -20,8 +21,11 @@ from affinecost.linalg import (
     log_det,
     parse_matrix,
     random_gl,
+    random_gl_stack,
     random_orthogonal,
+    random_orthogonal_stack,
     random_pd,
+    random_pd_stack,
     random_sl,
     svd_decompose,
 )
@@ -247,6 +251,71 @@ class TestSamplers:
         for seed in range(draws):
             total += random_orthogonal(2, seed).entries[0, 0]
         assert abs(total / draws) <= 3.0 * math.sqrt(0.5 / draws)
+
+
+# The samplers written with one sized draw per call, as (m, n, n) and
+# (m, n) blocks filled trial by trial: the reference the stacked samplers'
+# in-place draws must match bit for bit.
+
+def _reference_gaussians(n, rngs):
+    g = np.empty((len(rngs), n, n))
+    for j, rng in enumerate(rngs):
+        g[j] = rng.standard_normal((n, n))
+    return g
+
+
+def _reference_pd(n, rngs):
+    g = _reference_gaussians(n, rngs)
+    gram = g.transpose(0, 2, 1) @ g
+    gram = (gram + gram.transpose(0, 2, 1)) / 2.0
+    shift = PD_SHIFT * np.trace(gram, axis1=1, axis2=2) / n
+    return gram + shift[:, None, None] * np.eye(n)
+
+
+def _reference_gl(n, rngs, unit_det=False):
+    half_width = 0.5 * math.log(SAMPLER_CONDITION_CAP)
+    g = np.empty((len(rngs), n, n))
+    log_s = np.empty((len(rngs), n))
+    for j, rng in enumerate(rngs):
+        g[j] = rng.standard_normal((n, n))
+        log_s[j] = rng.uniform(-half_width, half_width, n)
+    p, _, qt = np.linalg.svd(g)
+    if unit_det:
+        log_s -= log_s.sum(-1, keepdims=True) / n
+    s = np.exp(log_s)
+    if unit_det:
+        s[np.linalg.det(g) < 0.0, 0] *= -1.0
+    return (p * s[:, None, :]) @ qt
+
+
+def _reference_orthogonal(n, rngs):
+    q, r = np.linalg.qr(_reference_gaussians(n, rngs))
+    return q * np.where(r.diagonal(0, -2, -1) >= 0.0, 1.0, -1.0)[:, None, :]
+
+
+class TestDrawParity:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 16, 64])
+    def test_stacked_draws_match_sized_draws(self, n):
+        samplers = [
+            (random_pd_stack, _reference_pd),
+            (random_gl_stack, _reference_gl),
+            (lambda n, rngs: random_gl_stack(n, rngs, unit_det=True),
+             lambda n, rngs: _reference_gl(n, rngs, unit_det=True)),
+            (random_orthogonal_stack, _reference_orthogonal),
+        ]
+        trials = 3 if n == 64 else 25
+        for k, (stacked, reference) in enumerate(samplers):
+            seeds = [[k, n, t] for t in range(trials)]
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            expected_rngs = [np.random.default_rng(seed) for seed in seeds]
+            # Twice over the same streams: the second call starts where the
+            # first left each stream.
+            for _ in range(2):
+                got = stacked(n, rngs)
+                assert got.tobytes() == reference(n, expected_rngs).tobytes()
+            for rng, expected in zip(rngs, expected_rngs):
+                assert rng.bit_generator.state == expected.bit_generator.state
+                assert rng.random() == expected.random()
 
 
 class TestMatrixTextFormat:

@@ -138,6 +138,17 @@ class TestMcdEstimate:
         with pytest.raises(ValueError, match="h must satisfy"):
             mcd_estimate(ONE_D_FIXTURE, 5, DET_COST)
 
+    def test_too_few_points_for_any_h(self):
+        # k < n + 1 leaves no valid h; the message names the point count
+        # instead of an empty range of h.
+        for points, needed in (([[1.0, 2.0]], "n + 1 = 3 points in 2 dimensions"),
+                               ([[1.0]], "n + 1 = 2 points in 1 dimension,")):
+            for h in (1, 2, 3):
+                with pytest.raises(ValueError, match="MCD needs at least") as info:
+                    mcd_estimate(Dataset(points), h, DET_COST)
+                assert needed in str(info.value)
+                assert str(info.value).endswith("the input has 1")
+
     def test_combinatorial_guard(self):
         big = Dataset(np.random.default_rng(0).standard_normal((40, 1)))
         with pytest.raises(ValueError, match="guard"):
