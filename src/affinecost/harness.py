@@ -221,8 +221,8 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     """
     def score(stack) -> list:
         # Gates a stack as SymPosDefMatrix gates each matrix; each cost's
-        # values on it, with log-dets from one batched Cholesky.
-        log_dets = stack_log_dets(gate_pd(stack))
+        # values on it, with the log-dets of the gate's batched Cholesky.
+        log_dets = gate_pd(stack)
         return [f.values(stack, log_dets) for f in costs]
 
     totals = [dict() for _ in costs]
@@ -274,6 +274,13 @@ def _gram(A) -> np.ndarray:
     return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
+def _gated_gram(A) -> np.ndarray:
+    # _gram, passed through the gate SymPosDefMatrix applies.
+    gram = _gram(A)
+    gate_pd(gram)
+    return gram
+
+
 def _orthogonal_trial(n, rngs, score, rel_tol):
     A = gate_invertible(random_gl_stack(n, rngs))
     Q = gate_orthogonal(random_orthogonal_stack(n, rngs))
@@ -284,14 +291,14 @@ def _orthogonal_trial(n, rngs, score, rel_tol):
 def _commutator_trial(n, rngs, score, rel_tol):
     A = gate_invertible(random_gl_stack(n, rngs))
     B = gate_invertible(random_gl_stack(n, rngs))
-    lhs = score(congruence_stack(gate_pd(_gram(B)), A))
-    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(gate_pd(_gram(A)), B))
+    lhs = score(congruence_stack(_gated_gram(B), A))
+    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(_gated_gram(A), B))
 
 
 def _svd_collapse_trial(n, rngs, score, rel_tol):
     A = gate_invertible(random_gl_stack(n, rngs))
     B = gate_invertible(random_gl_stack(n, rngs))
-    full = score(congruence_stack(gate_pd(_gram(B)), A))
+    full = score(congruence_stack(_gated_gram(B), A))
     # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
     core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
     yield "svd_collapse", {"A": A, "B": B}, full, score(core[:, :, None] * np.eye(n))

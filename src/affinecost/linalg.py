@@ -7,6 +7,23 @@ matrix that fails; a value type gates a stack of one. Conditioning is
 not a gate: the GL/SL samplers build it in, choosing singular values
 whose ratio stays below their cap.
 
+The positive definiteness gate is an eigenvalue ratio: the smallest
+eigenvalue must exceed PD_EIG_RATIO times the largest, as eigvalsh
+computes them. pd_log_dets decides it for a stack with one batched
+Cholesky, whose log-dets the gate's callers score with, and runs
+eigvalsh only where a certificate read off that factorization is
+silent. A symmetric matrix whose Cholesky succeeds has positive
+eigenvalues, so its trace t bounds the largest, and its smallest is at
+least det / t^(n-1). A log-det l >= log(10 * PD_EIG_RATIO) + n log t
+therefore proves a ratio of at least 10 * PD_EIG_RATIO. The factor 10
+is the margin for rounding: Cholesky's backward error (below n^2 eps
+times the largest eigenvalue, 5e-13 of it at n = 64) and eigvalsh's are
+far smaller than the 9 * PD_EIG_RATIO it leaves, so every certified
+matrix also passes the eigvalsh test, and the gate decides exactly as
+eigvalsh alone would. A trace below 1e-200, where rounding could meet
+underflow, or one that overflows certifies nothing. When any matrix of
+the stack fails Cholesky, the whole stack is decided by eigvalsh.
+
 The samplers and congruence work on stacks too, and the one-matrix forms
 are stacks of one over them. A stacked LAPACK or BLAS call gives each
 matrix the bits of its own 2-D call, so a matrix does not depend on the
@@ -21,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,22 +79,60 @@ def _pd_eigenvalues(stack: np.ndarray) -> tuple:
     return eigenvalues, (largest > 0.0) & (smallest > PD_EIG_RATIO * largest)
 
 
+# The certificate of pd_log_dets: a log-det of at least this plus n log t
+# proves an eigenvalue ratio of 10 * PD_EIG_RATIO (module docstring).
+_PD_CERTIFIED_LOG_RATIO = math.log(10.0 * PD_EIG_RATIO)
+
+# Smallest trace the certificate trusts. A certified matrix's smallest
+# eigenvalue is then above 1e-9 * 1e-200 / 64, so the rounding errors the
+# margin covers stay relative, far above where float64 underflows.
+_PD_CERTIFIED_TRACE_MIN = 1e-200
+
+
+def pd_log_dets(stack: np.ndarray) -> tuple:
+    """Which matrices of a finite stack pass the positive definiteness
+    gate, as a boolean array, and the log-dets of those that pass, in
+    order, by one batched Cholesky.
+
+    eigvalsh decides only the matrices the certificate leaves open, or
+    the whole stack when Cholesky fails on any of its matrices. Symmetry
+    is not checked: like eigvalsh, Cholesky reads the lower triangle only.
+    """
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        passes = _pd_eigenvalues(stack)[1]
+        return passes, stack_log_dets(stack[passes])
+    log_dets = _cholesky_log_det(chol)
+    # A trace that overflows certifies nothing: no finite log-det reaches
+    # n log t when t is infinite.
+    with np.errstate(over="ignore"):
+        trace = np.trace(stack, axis1=1, axis2=2)
+    bound = _PD_CERTIFIED_LOG_RATIO + stack.shape[-1] * np.log(
+        np.maximum(trace, _PD_CERTIFIED_TRACE_MIN))
+    passes = (trace >= _PD_CERTIFIED_TRACE_MIN) & (log_dets >= bound)
+    if not passes.all():
+        open_ = np.flatnonzero(~passes)
+        passes[open_] = _pd_eigenvalues(stack[open_])[1]
+    return passes, log_dets[passes]
+
+
 def gate_pd(stack: np.ndarray) -> np.ndarray:
     """The SymPosDefMatrix gate: each matrix finite, symmetric to within
     SYMMETRY_TOL (relative to its largest entry) and positive definite.
-    Returns the stack."""
+    Returns the log-det of each matrix, from the Cholesky that gated it."""
     _gate_entries(stack)
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     if (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOL * scale).any():
         raise ValueError("matrix is not symmetric within tolerance")
-    eigenvalues, passes = _pd_eigenvalues(stack)
+    passes, log_dets = pd_log_dets(stack)
     if not passes.all():
-        low, high = eigenvalues[np.argmin(passes)][[0, -1]]
+        low, high = np.linalg.eigvalsh(stack[np.argmin(passes)])[[0, -1]]
         raise NotPositiveDefiniteError(
             "matrix is not positive definite within tolerance "
             f"(eigenvalue range [{low:.3e}, {high:.3e}])"
         )
-    return stack
+    return log_dets
 
 
 def gate_invertible(stack: np.ndarray) -> np.ndarray:
@@ -102,27 +156,14 @@ def gate_orthogonal(stack: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_log_det(chol: np.ndarray):
-    """2 * sum(log(diag)) of a Cholesky factor, or of each in a stack: the
-    one log-det formula of stack_log_dets and gate_stack."""
+    """2 * sum(log(diag)) of each Cholesky factor of a stack: the one
+    log-det formula of stack_log_dets and pd_log_dets."""
     return 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(-1)
 
 
 def stack_log_dets(stack: np.ndarray) -> np.ndarray:
     """log_det of each matrix of a gated stack, by one batched Cholesky."""
     return _cholesky_log_det(np.linalg.cholesky(stack))
-
-
-def gate_stack(stack: np.ndarray) -> tuple:
-    """The positive definiteness gate as a filter, with log-dets from one
-    batched Cholesky.
-
-    The stack must be finite and exactly symmetric, as (C + C^T)/2 of a
-    finite C is, so neither is checked again. Returns (positions,
-    log_dets): the stack positions of the passing matrices in order, and
-    their log-dets.
-    """
-    positions = np.flatnonzero(_pd_eigenvalues(stack)[1])
-    return positions, _cholesky_log_det(np.linalg.cholesky(stack[positions]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,18 +190,15 @@ class SymPosDefMatrix(_GatedMatrix):
     """Symmetric positive definite matrix.
 
     Construction verifies symmetry to within SYMMETRY_TOL (relative to the
-    largest entry) and positive definiteness via a symmetric
-    eigendecomposition: the smallest eigenvalue must exceed
-    PD_EIG_RATIO times the largest.
+    largest entry) and positive definiteness: the smallest eigenvalue must
+    exceed PD_EIG_RATIO times the largest, decided as pd_log_dets decides
+    it, and keeps the log-det of the gate's Cholesky factorization.
     """
 
-    _gate = staticmethod(gate_pd)
-
-    @cached_property
-    def _log_det(self) -> float:
-        # Instances are immutable, so the Cholesky factorization runs at
-        # most once per matrix however many costs evaluate it.
-        return float(stack_log_dets(self.entries[None])[0])
+    def _gate(self, stack: np.ndarray) -> None:
+        # Instances are immutable, so the gate's Cholesky factorization is
+        # the only one a matrix needs however many costs evaluate it.
+        object.__setattr__(self, "_log_det", float(gate_pd(stack)[0]))
 
 
 class InvertibleMatrix(_GatedMatrix):
@@ -206,7 +244,7 @@ def log_det(M: SymPosDefMatrix) -> float:
 
     The log form stays finite where the plain determinant would overflow
     or underflow, so it is the canonical determinant representative here.
-    The value is computed once per matrix and then reused.
+    The value comes from the factorization that gated the matrix.
     """
     return M._log_det
 

@@ -7,17 +7,30 @@ the contract is the exact argmin over subsets, so heuristic search is out
 of scope and a combinatorial guard keeps runs at desk scale.
 
 Subsets are scored in lexicographic chunks of CHUNK_SUBSETS: each chunk's
-covariances are built as one stack, which one batched eigvalsh passes
-through SymPosDefMatrix's gate and one batched Cholesky gives log-dets.
-One call of the cost's array map f.value(stack, log_dets) then scores
-every passing covariance of the chunk, with no per-subset matrix or cost
-value. A later subset wins only when lower by more than COST_REL_TOL *
-max(|best|, |value|), so the lexicographically smallest subset wins ties
-whatever the chunking, and scaling the data (every determinant by one
-factor) keeps the winner. Cost values are nonnegative, so a subset that
-wins is below every value scored before it, and the chain visits only
-those strict running minima. The reported CostValue is
-f(subset_covariance(best)), built for the winner alone.
+covariances are built as one stack, and one batched Cholesky both passes
+it through SymPosDefMatrix's gate and gives its log-dets
+(linalg.pd_log_dets). eigvalsh decides only the covariances the
+Cholesky's certificate leaves open, or the whole chunk when Cholesky
+refuses one of its covariances, as it does most degenerate ones; either
+way the gate decides as eigvalsh alone would. One call of the cost's
+array map f.value(stack, log_dets) then scores every passing covariance
+of the chunk, with no per-subset matrix or cost value.
+
+Ties are settled by a chain in scan order: the first nondegenerate
+subset is the incumbent, and a later subset replaces it only when lower
+by more than COST_REL_TOL * max(|best|, |value|). The answer does not
+depend on the chunking, and scaling the data (every determinant by one
+factor) keeps the winner. It is not always the lexicographically
+smallest subset within the band of the minimum: with the values 1,
+1 - 0.6e-8, 1 - 1.2e-8 and 5 on the subsets (0, 1, 2), (0, 1, 3),
+(0, 2, 3) and (1, 2, 3), (0, 1, 3) is within the band of the incumbent
+(0, 1, 2) and does not replace it, (0, 2, 3) is more than a band below
+it and does, and the answer is (0, 2, 3), though (0, 1, 3) is within the
+band of that minimum. ROADMAP item 3 plans the lexicographic rule. Cost
+values are nonnegative, so a subset that replaces the incumbent is below
+every value scored before it, and the chain visits only those strict
+running minima. The reported CostValue is f(subset_covariance(best)),
+built for the winner alone.
 
 With the determinant cost the estimator is affine equivariant:
 transforming the data by x -> A x + b moves the estimate the same way.
@@ -30,12 +43,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .cost import CostFunction, CostValue, COST_REL_TOL
-from .linalg import MAX_DIM, NotPositiveDefiniteError, SymPosDefMatrix, gate_stack, is_float
+from .linalg import MAX_DIM, NotPositiveDefiniteError, SymPosDefMatrix, is_float, pd_log_dets
 
 MAX_SUBSETS = 10**6
 
@@ -148,9 +161,12 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
 
     Enumerates all h-subsets in lexicographic order, skips degenerate
     ones, and minimizes f over subset covariances. The dataset needs at
-    least n + 1 points, and n + 1 <= h <= k. Ties within the relative
-    band COST_REL_TOL keep the lexicographically smallest subset. The
-    reported cost is f(subset_covariance(dataset, best)).
+    least n + 1 points, and n + 1 <= h <= k. A later subset replaces the
+    incumbent only when lower by more than the relative band
+    COST_REL_TOL, the scan-order chain of the module docstring, which
+    does not always keep the lexicographically smallest subset within
+    the band of the minimum. The reported cost is
+    f(subset_covariance(dataset, best)), and the subset a tuple of ints.
     """
     k, n = dataset.k, dataset.n
     if k < n + 1:
@@ -166,10 +182,14 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
     degenerate = 0
     lowest = math.inf
     subsets = combinations(range(k), h)
-    while chunk := list(islice(subsets, CHUNK_SUBSETS)):
-        stack = _covariance_stack(dataset.points, np.array(chunk))
-        positions, log_dets = gate_stack(stack)
-        degenerate += len(chunk) - len(positions)
+    for first in range(0, total, CHUNK_SUBSETS):
+        size = min(CHUNK_SUBSETS, total - first)
+        chunk = np.fromiter(chain.from_iterable(islice(subsets, size)), np.intp,
+                            size * h).reshape(size, h)
+        stack = _covariance_stack(dataset.points, chunk)
+        passes, log_dets = pd_log_dets(stack)
+        positions = np.flatnonzero(passes)
+        degenerate += size - len(positions)
         values = f.value(stack[positions], log_dets)
         # Costs are nonnegative, so a value that replaces the incumbent lies
         # below every value since the last replacement: only strict
@@ -178,7 +198,7 @@ def mcd_estimate(dataset: Dataset, h: int, f: CostFunction) -> EstimateResult:
         minima = np.flatnonzero(values < running[:-1])
         for j, value in zip(positions[minima].tolist(), values[minima].tolist()):
             if best_subset is None or best - value > COST_REL_TOL * max(abs(best), abs(value)):
-                best_subset, best = chunk[j], value
+                best_subset, best = tuple(chunk[j].tolist()), value
         lowest = float(running[-1])
     if best_subset is None:
         raise ValueError("every subset is degenerate; no estimate exists")

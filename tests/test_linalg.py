@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from affinecost.linalg import _pd_eigenvalues  # the eigvalsh gate, as reference
 from affinecost.linalg import (
+    PD_EIG_RATIO,
     PD_SHIFT,
     SAMPLER_CONDITION_CAP,
     InvertibleMatrix,
@@ -17,9 +20,9 @@ from affinecost.linalg import (
     gate_invertible,
     gate_orthogonal,
     gate_pd,
-    gate_stack,
     log_det,
     parse_matrix,
+    pd_log_dets,
     random_gl,
     random_gl_stack,
     random_orthogonal,
@@ -27,6 +30,7 @@ from affinecost.linalg import (
     random_pd,
     random_pd_stack,
     random_sl,
+    stack_log_dets,
     svd_decompose,
 )
 
@@ -58,6 +62,143 @@ class TestStackGates:
             gate_orthogonal(np.array([np.eye(2), [[1.0, 0.1], [0.0, 1.0]]]))
         with pytest.raises(ValueError, match="64"):
             gate_invertible(np.eye(65)[None])
+
+
+# Smallest over largest eigenvalue of the planted spectra: certified,
+# uncertified, both sides of PD_EIG_RATIO within rounding, and failing
+# although Cholesky succeeds.
+PLANTED_RATIOS = [1e-12, 1e-11, 1e-10 * (1 - 1e-6), 1e-10 * (1 + 1e-6), 2e-10, 1e-9, 1e-8, 1.0]
+
+
+def planted_stack(n, scale, seed, per_ratio=3):
+    """Symmetric matrices Q diag(s) Q^T in random orthogonal bases, with
+    largest eigenvalue scale and each of PLANTED_RATIOS as smallest over
+    largest (the rest log-uniform between), per_ratio of each."""
+    rng = np.random.default_rng([seed, n])
+    stack = []
+    for ratio in PLANTED_RATIOS:
+        for _ in range(per_ratio):
+            inner = np.exp(rng.uniform(math.log(ratio), 0.0, max(n - 2, 0)))
+            spectrum = scale * np.concatenate(([ratio], inner, [1.0]))[-n:]
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            m = (q * spectrum) @ q.T
+            stack.append((m + m.T) / 2.0)
+    return np.array(stack)
+
+
+def certified(stack):
+    """The certificate, recomputed: a Cholesky log-det of at least
+    log(10 * PD_EIG_RATIO) + n log(trace), with the trace at least 1e-200."""
+    trace = np.trace(stack, axis1=1, axis2=2)
+    bound = math.log(10.0 * PD_EIG_RATIO) + stack.shape[-1] * np.log(trace)
+    return (trace >= 1e-200) & (stack_log_dets(stack) >= bound)
+
+
+@pytest.fixture
+def eigvalsh_inputs(monkeypatch):
+    """Every stack np.linalg.eigvalsh is called on, in order."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(stack):
+        seen.append(np.array(stack))
+        return eigvalsh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return seen
+
+
+class TestCertifiedPdGate:
+    # pd_log_dets decides the gate from one Cholesky where its certificate
+    # holds and by eigvalsh elsewhere; its decisions must be eigvalsh's.
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16, 64])
+    def test_planted_spectra_match_eigvalsh(self, n, scale):
+        stack = planted_stack(n, scale, seed=0)
+        passes, log_dets = pd_log_dets(stack)
+        assert passes.tolist() == _pd_eigenvalues(stack)[1].tolist()
+        assert log_dets.tobytes() == stack_log_dets(stack[passes]).tobytes()
+        if n > 1:
+            # Cholesky accepts matrices the gate refuses, and refuses none here.
+            assert not passes.all()
+            np.linalg.cholesky(stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_certificate_spares_eigvalsh(self, n, eigvalsh_inputs):
+        # The certificate decides most of these stacks, and eigvalsh sees
+        # exactly the matrices it leaves open.
+        stack = planted_stack(n, 1.0, seed=1)
+        passes, _ = pd_log_dets(stack)
+        uncertified = stack[~certified(stack)]
+        assert 0 < len(uncertified) < len(stack)
+        assert np.concatenate(eigvalsh_inputs).tobytes() == uncertified.tobytes()
+        assert passes[certified(stack)].all()
+
+    @pytest.mark.parametrize("entries", [1e-250, 1e308])
+    def test_extreme_traces_go_to_eigvalsh(self, entries, eigvalsh_inputs):
+        # A trace below 1e-200 or past float64's range certifies nothing,
+        # and the overflowing trace warns nothing (tier-1 fails on warnings).
+        stack = np.array([entries * np.eye(3), entries * np.diag([1.0, 1.0, 0.5])])
+        passes, log_dets = pd_log_dets(stack)
+        assert passes.all()
+        assert np.concatenate(eigvalsh_inputs).tobytes() == stack.tobytes()
+        assert log_dets.tobytes() == stack_log_dets(stack).tobytes()
+
+    def test_mcd_shape_needs_no_eigvalsh(self, eigvalsh_inputs):
+        # 13 Gaussian inliers and 4 outliers at distance 100 in R^3, with
+        # h = 10: every one of the C(17, 10) covariances is certified.
+        from affinecost.cost import DET_COST
+        from affinecost.mcd import Dataset, mcd_estimate
+
+        rng = np.random.default_rng(14)
+        points = np.vstack([rng.standard_normal((13, 3)),
+                            [100.0, 0.0, 0.0] + 0.5 * rng.standard_normal((4, 3))])
+        result = mcd_estimate(Dataset(points), 10, DET_COST)
+        assert max(result.subset) < 13
+        assert result.degenerate_subsets == 0
+        assert sum(len(s) for s in eigvalsh_inputs) == 0
+
+    @pytest.mark.parametrize("bad", ["singular", "indefinite", "zero"])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_mixed_stacks_match_eigvalsh(self, n, bad):
+        # A matrix Cholesky refuses sends the whole stack to eigvalsh: the
+        # positions and log-dets, and gate_pd's message, are as before.
+        rng = np.random.default_rng([2, n])
+        v = rng.standard_normal((n, 1))
+        bad_matrix = {"singular": v @ v.T if n > 1 else np.zeros((1, 1)),
+                      "indefinite": np.diag(np.linspace(-1.0, 2.0, n)) if n > 1 else -np.eye(1),
+                      "zero": np.zeros((n, n))}[bad]
+        good = [random_pd(n, seed).entries for seed in range(3)]
+        stack = np.array([good[0], bad_matrix, good[1], good[2]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        passes, log_dets = pd_log_dets(stack)
+        eigenvalues, expected = _pd_eigenvalues(stack)
+        assert passes.tolist() == expected.tolist() == [True, False, True, True]
+        assert log_dets.tobytes() == stack_log_dets(stack[passes]).tobytes()
+        low, high = eigenvalues[1][[0, -1]]
+        message = ("matrix is not positive definite within tolerance "
+                   f"(eigenvalue range [{low:.3e}, {high:.3e}])")
+        with pytest.raises(NotPositiveDefiniteError, match=re.escape(message)):
+            gate_pd(stack)
+
+    def test_gate_pd_log_dets_are_log_det(self):
+        stack = np.array([random_pd(4, seed).entries for seed in range(5)])
+        assert gate_pd(stack).tolist() == [log_det(SymPosDefMatrix(m)) for m in stack]
+
+    # What the fallback relies on, pinned for every numpy the package
+    # accepts: stacked Cholesky raises if any matrix fails, and reads the
+    # lower triangle, as eigvalsh does.
+    def test_stacked_cholesky_raises_on_any_failure(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array([np.eye(2), np.eye(2), np.diag([1.0, -1.0])]))
+
+    def test_cholesky_reads_the_lower_triangle_as_eigvalsh(self):
+        lower = np.array([[4.0, 100.0], [2.0, 5.0]])
+        symmetric = np.array([[4.0, 2.0], [2.0, 5.0]])
+        assert np.linalg.cholesky(lower).tolist() == np.linalg.cholesky(symmetric).tolist()
+        assert np.linalg.eigvalsh(lower).tolist() == np.linalg.eigvalsh(symmetric).tolist()
 
 
 class TestConstructionGates:
@@ -159,8 +300,8 @@ class TestLogDet:
     def test_stacked_log_dets_match_log_det(self, n):
         # One formula serves both: a stacked log-det has log_det's bits.
         matrices = [random_pd(n, seed) for seed in range(50)]
-        positions, log_dets = gate_stack(np.array([M.entries for M in matrices]))
-        assert positions.tolist() == list(range(50))
+        passes, log_dets = pd_log_dets(np.array([M.entries for M in matrices]))
+        assert passes.all()
         assert log_dets.tolist() == [log_det(M) for M in matrices]
 
 

@@ -18,6 +18,7 @@ from affinecost.mcd import (
     CHUNK_SUBSETS,
     Dataset,
     DegenerateSubsetError,
+    _covariance_stack,
     affine_transform_dataset,
     check_equivariance,
     mcd_estimate,
@@ -179,6 +180,13 @@ class TestMcdEstimate:
         result = mcd_estimate(CLUSTER_2D, 3, factored_cost(KernelSpec.lattice(1.0)))
         assert len(result.subset) == 3
 
+    def test_subset_is_a_tuple_of_ints(self):
+        # Not numpy integers: the subset is serialized and compared as is.
+        for data, h in [(ONE_D_FIXTURE, 3), (CLUSTER_2D, 3)]:
+            subset = mcd_estimate(data, h, DET_COST).subset
+            assert type(subset) is tuple
+            assert all(type(i) is int for i in subset)
+
 
 def reference_mcd(dataset, h, f):
     """The estimator as a plain loop: f(subset_covariance(...)) for every
@@ -290,6 +298,52 @@ class TestChunkedParity:
         data = Dataset(np.random.default_rng(3).standard_normal((8, 2)) * 1e200)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             mcd_estimate(data, 4, DET_COST)
+
+
+class TestCholeskyFallback:
+    # A chunk holding a degenerate subset whose covariance Cholesky
+    # refuses is gated by eigvalsh as a whole; the PD subsets beside it
+    # keep their log-dets, whatever the chunk size.
+
+    @pytest.mark.parametrize("chunk", [1, 3, CHUNK_SUBSETS])
+    @pytest.mark.parametrize("f", PARITY_COSTS, ids=[f.name for f in PARITY_COSTS])
+    def test_refused_chunks_match_reference_loop(self, chunk, f, monkeypatch):
+        monkeypatch.setattr("affinecost.mcd.CHUNK_SUBSETS", chunk)
+        n, k, h = 2, 10, 5
+        for seed in range(2):
+            data = parity_dataset(n, k, h, seed)
+            subset, value, examined, degenerate = reference_mcd(data, h, f)
+            result = mcd_estimate(data, h, f)
+            assert result.subset == subset
+            assert result.degenerate_subsets == degenerate >= 1
+            assert result.cost_value.canonical == value.canonical
+            if chunk > 1:
+                assert mixed_refused_chunks(data, h, chunk) >= 1
+
+
+def mixed_refused_chunks(dataset, h, chunk):
+    """Chunks of chunk subsets, as mcd_estimate forms them, on whose
+    covariance stack Cholesky raises and which hold both degenerate and
+    positive definite subsets."""
+    subsets = list(combinations(range(dataset.k), h))
+    found = 0
+    for first in range(0, len(subsets), chunk):
+        rows = subsets[first:first + chunk]
+        stack = _covariance_stack(dataset.points, np.array(rows))
+        try:
+            np.linalg.cholesky(stack)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        flags = []
+        for s in rows:
+            try:
+                subset_covariance(dataset, s)
+                flags.append(False)
+            except DegenerateSubsetError:
+                flags.append(True)
+        found += any(flags) and not all(flags)
+    return found
 
 
 def ladder_cost(dataset, h, values):
