@@ -8,7 +8,9 @@ byte-identical output: reports carry no timestamps and all randomness is
 seeded (seed defaults to 0 and is echoed in randomized reports).
 
 Exit codes: 0 pass, 1 property-failure verdict, 2 unrecognized kernel,
-64 usage error, 65 input-contract violation.
+64 usage error, 65 input-contract violation. Each runner builds its report
+and its text; _read_input reads, decodes and parses an input file, _emit
+writes the report or the text, and main alone maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -116,15 +118,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        try:
-            with open(output, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {output}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+class _InputError(ValueError):
+    """An input the command cannot use; main exits EXIT_INPUT with its one
+    line."""
+
+
+def _read_input(path: str, parse):
+    """parse applied to the text of the file at path. A file that cannot
+    be read, and a ValueError from decoding or from parse, raise
+    _InputError naming the path."""
+    try:
+        with open(path) as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
+def _emit(args, report: dict, text: str) -> None:
+    """Write report as JSON, or text, as --format asks, to --output or
+    stdout. An --output that cannot be written is a usage error."""
+    body = json.dumps(report, indent=2) + "\n" if args.format == "json" else text
+    if not args.output:
+        sys.stdout.write(body)
+        return
+    try:
+        with open(args.output, "w") as handle:
+            handle.write(body)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 def _config_from_args(args) -> TrialConfig:
@@ -157,7 +180,6 @@ def run_check(args) -> int:
     cost = cost_from_selector(args.cost)
     cfg = _config_from_args(args)
     suite = run_invariance_suite(cost, cfg)
-    report = suite.as_dict()
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "check",
@@ -165,12 +187,9 @@ def run_check(args) -> int:
         "dims": list(cfg.dims),
         "trials": cfg.trials,
         "rel_tol": cfg.rel_tol,
-        **report,
+        **suite.as_dict(),
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        _emit(_render_check_text(report), args.output)
+    _emit(args, report, _render_check_text(report))
     return EXIT_PASS if suite.verdict == "pass" else EXIT_FAIL
 
 
@@ -192,88 +211,57 @@ def run_kernel(args) -> int:
     except UnrecognizedKernelError as exc:
         sys.stderr.write(f"unrecognized kernel: {exc}\n")
         return EXIT_UNRECOGNIZED_KERNEL
-    if args.format == "json":
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "kernel",
-            "cost": cost.name,
-            "seed": cfg.master_seed,
-            **estimate.as_dict(),
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        if estimate.variant_guess == "trivial":
-            _emit("Trivial\n", args.output)
-        else:
-            _emit(f"Lattice a={estimate.a_estimate:.6f}\n", args.output)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "kernel",
+        "cost": cost.name,
+        "seed": cfg.master_seed,
+        **estimate.as_dict(),
+    }
+    trivial = estimate.variant_guess == "trivial"
+    _emit(args, report, "Trivial\n" if trivial else f"Lattice a={estimate.a_estimate:.6f}\n")
     return EXIT_PASS
 
 
 def run_mcd(args) -> int:
     cost = cost_from_selector(args.cost)
-    try:
-        with open(args.input) as handle:
-            text = handle.read()
-    except OSError as exc:
-        sys.stderr.write(f"cannot read {args.input}: {exc}\n")
-        return EXIT_INPUT
-    try:
-        dataset = parse_dataset_csv(text)
-        result = mcd_estimate(dataset, args.h, cost)
-    except ValueError as exc:
-        sys.stderr.write(f"{args.input}: {exc}\n")
-        return EXIT_INPUT
+    result = _read_input(args.input,
+                         lambda text: mcd_estimate(parse_dataset_csv(text), args.h, cost))
     report = {
         "mean": [float(x) for x in result.mean],
         "subset": list(result.subset),
         "cost": result.cost_value.canonical,
         "examined": result.subsets_examined,
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        lines = [
-            "mean " + " ".join(f"{x:.17g}" for x in result.mean),
-            "subset " + " ".join(str(i) for i in result.subset),
-            f"cost {result.cost_value.canonical:.17g}",
-            f"examined {result.subsets_examined}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [
+        "mean " + " ".join(f"{x:.17g}" for x in result.mean),
+        "subset " + " ".join(str(i) for i in result.subset),
+        f"cost {result.cost_value.canonical:.17g}",
+        f"examined {result.subsets_examined}",
+    ]
+    _emit(args, report, "\n".join(lines) + "\n")
     return EXIT_PASS
 
 
+def _decompose_text(text: str) -> tuple:
+    # The gated matrix of a matrix text file, and its elementary factors.
+    matrix = InvertibleMatrix(parse_matrix(text))
+    return matrix, decompose_sl(matrix)
+
+
 def run_decompose(args) -> int:
-    try:
-        with open(args.input) as handle:
-            entries = parse_matrix(handle.read())
-    except OSError as exc:
-        sys.stderr.write(f"cannot read {args.input}: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"{args.input}: {exc}\n")
-        return EXIT_INPUT
-    try:
-        matrix = InvertibleMatrix(entries)
-        factors = decompose_sl(matrix)
-    except ValueError as exc:
-        sys.stderr.write(f"{args.input}: {exc}\n")
-        return EXIT_INPUT
+    matrix, factors = _read_input(args.input, _decompose_text)
     product = reconstruct_factors(factors, matrix.n)
     residual = float(
         np.linalg.norm(product - matrix.entries) / max(1.0, np.linalg.norm(matrix.entries))
     )
     # Factor lines use 1-based indices, matching the commutator flags.
-    factor_lines = [f"E {f.row + 1} {f.col + 1} {f.scale:.17g}" for f in factors]
-    if args.format == "json":
-        report = {
-            "factors": [
-                {"i": f.row + 1, "j": f.col + 1, "lambda": f.scale} for f in factors
-            ],
-            "residual": residual,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        _emit("".join(line + "\n" for line in factor_lines), args.output)
+    report = {
+        "factors": [{"i": f.row + 1, "j": f.col + 1, "lambda": f.scale} for f in factors],
+        "residual": residual,
+    }
+    _emit(args, report, "".join(f"E {f.row + 1} {f.col + 1} {f.scale:.17g}\n" for f in factors))
+    if args.format == "text":
         sys.stderr.write(f"residual {residual:.3e}\n")
     return EXIT_PASS
 
@@ -284,28 +272,20 @@ def run_commutator(args) -> int:
         pair = elementary_as_commutator(args.n, row, col, args.lam)
         target = elementary(args.n, row, col, args.lam)
     except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_INPUT
+        raise _InputError(exc) from None
     realized = matrix_commutator(pair.a_factor, pair.b_factor)
     residual = float(np.abs(realized.entries - target.entries).max())
-    if args.format == "json":
-        report = {
-            "n": args.n,
-            "i": args.i,
-            "j": args.j,
-            "lambda": args.lam,
-            "a_factor": format_matrix(pair.a_factor.entries),
-            "b_factor": format_matrix(pair.b_factor.entries),
-            "residual": residual,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.output)
-    else:
-        text = (
-            "A:\n" + format_matrix(pair.a_factor.entries)
-            + "B:\n" + format_matrix(pair.b_factor.entries)
-            + f"residual {residual:.3e}\n"
-        )
-        _emit(text, args.output)
+    a_text, b_text = format_matrix(pair.a_factor.entries), format_matrix(pair.b_factor.entries)
+    report = {
+        "n": args.n,
+        "i": args.i,
+        "j": args.j,
+        "lambda": args.lam,
+        "a_factor": a_text,
+        "b_factor": b_text,
+        "residual": residual,
+    }
+    _emit(args, report, f"A:\n{a_text}B:\n{b_text}residual {residual:.3e}\n")
     return EXIT_PASS
 
 
@@ -326,6 +306,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _RUNNERS[args.subcommand](args)
+    except _InputError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_INPUT
     except ValueError as exc:
         # Selector or configuration problems.
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")

@@ -233,13 +233,6 @@ def fold_log2_dets(d: np.ndarray, a: float) -> tuple:
     return k, np.array([2.0 ** x for x in (a * k + d).tolist()])
 
 
-def quantize_log2_det(d: float, a: float) -> tuple:
-    """fold_log2_dets for one log2 determinant: returns (k, canonical)
-    with k an int."""
-    k, canonical = fold_log2_dets(np.array([d]), a)
-    return int(k[0]), float(canonical[0])
-
-
 def _trace(stack: np.ndarray, log_dets) -> np.ndarray:
     return np.trace(stack, axis1=1, axis2=2)
 

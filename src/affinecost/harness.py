@@ -15,10 +15,13 @@ and independent of execution order. A trial's stream is
 np.random.default_rng of the 64-bit blake2b key of (master seed, check,
 dim, trial); each chunk's Generators are seeded in one batch by
 rng.default_rngs, which computes SeedSequence's state for all its keys at
-once, and give those streams bit for bit. Each (check, dim) draws, gates
-and scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
+once, and give those streams bit for bit. Each (check, dim) draws and
+scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
 entries; a matrix has the same bits in any stack, so chunking changes no
-report. Each cost scores a whole stack as one CostValues array, and each
+report. Each stack a cost scores passes gate_pd, the gate SymPosDefMatrix
+applies, and is the only value the harness gates: the samplers' draws and
+their grams are valid by construction (the linalg sampler tests hold them
+to it). Each cost scores a whole stack as one CostValues array, and each
 sub-check's discrepancies and fail mask are arrays over the chunk's
 trials. Failures are data, not errors: they are counted from the masks
 and aggregated into reports, and only failing trials are serialized as
@@ -36,9 +39,8 @@ import numpy as np
 
 from .cost import (CostFunction, CostValues, libm_exp, value_discrepancies, value_tolerance,
                    values_match)
-from .linalg import (MAX_DIM, congruence_stack, format_matrix, gate_invertible, gate_orthogonal,
-                     gate_pd, random_gl_stack, random_orthogonal_stack, random_pd_stack,
-                     stack_log_dets)
+from .linalg import (MAX_DIM, congruence_stack, format_matrix, gate_pd, random_gl_stack,
+                     random_orthogonal_stack, random_pd_stack, stack_log_dets)
 # perfbench's tracer wraps these one-matrix names on this module.
 from .linalg import (congruence, log_det, random_gl, random_orthogonal,  # noqa: F401
                      random_pd, random_sl, svd_decompose)
@@ -200,11 +202,6 @@ def _trial_rngs(master_seed: int, check_name: str, dim: int, trials) -> list:
     return default_rngs(np.frombuffer(b"".join(digests), dtype=">u8"))
 
 
-def _trial_rng(master_seed: int, check_name: str, dim: int, trial: int) -> np.random.Generator:
-    """One trial's Generator: _trial_rngs for a stack of one."""
-    return _trial_rngs(master_seed, check_name, dim, (trial,))[0]
-
-
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
     """Drive the named trial kinds for several costs over shared samples;
     returns one InvarianceReport per cost, its checks in names order.
@@ -270,35 +267,28 @@ def _solved_scalars(M) -> np.ndarray:
 
 
 def _gram(A) -> np.ndarray:
-    # A^T I A for each A: the congruence of the identity, ungated.
+    # A^T I A for each A: the congruence of the identity.
     return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
-def _gated_gram(A) -> np.ndarray:
-    # _gram, passed through the gate SymPosDefMatrix applies.
-    gram = _gram(A)
-    gate_pd(gram)
-    return gram
-
-
 def _orthogonal_trial(n, rngs, score, rel_tol):
-    A = gate_invertible(random_gl_stack(n, rngs))
-    Q = gate_orthogonal(random_orthogonal_stack(n, rngs))
+    A = random_gl_stack(n, rngs)
+    Q = random_orthogonal_stack(n, rngs)
     gram = _gram(A)
     yield "orthogonal", {"A": A, "Q": Q}, score(gram), score(congruence_stack(gram, Q))
 
 
 def _commutator_trial(n, rngs, score, rel_tol):
-    A = gate_invertible(random_gl_stack(n, rngs))
-    B = gate_invertible(random_gl_stack(n, rngs))
-    lhs = score(congruence_stack(_gated_gram(B), A))
-    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(_gated_gram(A), B))
+    A = random_gl_stack(n, rngs)
+    B = random_gl_stack(n, rngs)
+    lhs = score(congruence_stack(_gram(B), A))
+    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(_gram(A), B))
 
 
 def _svd_collapse_trial(n, rngs, score, rel_tol):
-    A = gate_invertible(random_gl_stack(n, rngs))
-    B = gate_invertible(random_gl_stack(n, rngs))
-    full = score(congruence_stack(_gated_gram(B), A))
+    A = random_gl_stack(n, rngs)
+    B = random_gl_stack(n, rngs)
+    full = score(congruence_stack(_gram(B), A))
     # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
     core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
     yield "svd_collapse", {"A": A, "B": B}, full, score(core[:, :, None] * np.eye(n))
@@ -313,10 +303,10 @@ def _where(mask, v: CostValues, u: CostValues) -> CostValues:
 def _implication_trial(n, rngs, score, rel_tol):
     M = random_pd_stack(n, rngs)
     at_m = score(M)
-    S = gate_invertible(random_gl_stack(n, rngs, unit_det=True))
+    S = random_gl_stack(n, rngs, unit_det=True)
     N = congruence_stack(M, S)
     at_n = score(N)
-    A = gate_invertible(random_gl_stack(n, rngs))
+    A = random_gl_stack(n, rngs)
     lhs, at_na = score(congruence_stack(M, A)), score(congruence_stack(N, A))
     # Equal-value pairs are constructed, not searched: N is the
     # SL-congruence when that preserves the value (always, for factoring
@@ -330,7 +320,7 @@ def _implication_trial(n, rngs, score, rel_tol):
 def _det_factorization_trial(n, rngs, score, rel_tol):
     M = random_pd_stack(n, rngs)
     at_m = score(M)
-    S = gate_invertible(random_gl_stack(n, rngs, unit_det=True))
+    S = random_gl_stack(n, rngs, unit_det=True)
     conjugated = score(congruence_stack(M, S))
     scalar = _solved_scalars(M)
     yield "sl_conjugation", {"M": M, "S": S}, conjugated, at_m

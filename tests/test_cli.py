@@ -191,11 +191,6 @@ class TestMcdCommand:
         assert captured.err == (f"{path}: MCD needs at least n + 1 = 3 points in 2 dimensions, "
                                 "and the input has 1\n")
 
-    def test_missing_file(self, capsys):
-        code = main(["mcd", "--input", "/nonexistent.csv", "--h", "3"])
-        assert code == EXIT_INPUT
-        capsys.readouterr()
-
     @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_is_one_line_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -377,12 +372,34 @@ class TestUsage:
         (["commutator", "--n", "2", "--i", "1", "--j", "2", "--lambda", "3"], "missing/x.txt"),
         (["check", "--cost", "det", "--dims", "1", "--trials", "2"], "."),
         (["kernel", "--cost", "det", "--dims", "1", "--trials", "2"], "missing/x.txt"),
-    ], ids=["commutator-missing-dir", "check-directory", "kernel-missing-dir"])
-    def test_unwritable_output_is_usage_error(self, argv, target, tmp_path, capsys):
+        (["mcd", "--input", "{points}", "--h", "3"], "missing/x.txt"),
+        (["decompose", "--input", "{matrix}"], "."),
+    ], ids=["commutator-missing-dir", "check-directory", "kernel-missing-dir",
+            "mcd-missing-dir", "decompose-directory"])
+    def test_unwritable_output_is_usage_error(self, argv, target, one_d_csv, sl3_file,
+                                              tmp_path, capsys):
         output = str(tmp_path / target)
+        argv = [arg.format(points=one_d_csv, matrix=sl3_file) for arg in argv]
         code = main([*argv, "--output", output])
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert f"cannot write {output}" in captured.err
+
+    @pytest.mark.parametrize("command,kind", [
+        (command, kind) for command in ("mcd", "decompose")
+        for kind in ("missing", "directory", "undecodable")
+    ])
+    def test_unreadable_input_is_one_line_input_error(self, command, kind, tmp_path, capsys):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe\x00\x01not utf-8")
+        code = main([command, "--input", str(path), *(["--h", "3"] if command == "mcd" else [])])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err

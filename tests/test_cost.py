@@ -20,7 +20,6 @@ from affinecost.cost import (
     cost_values_match,
     factored_cost,
     fold_log2_dets,
-    quantize_log2_det,
     value_discrepancies,
 )
 from affinecost.linalg import (
@@ -89,7 +88,7 @@ class TestLogDetReuse:
 class TestQuantizedDetCost:
     def test_identity_any_constant(self):
         for a in (0.3, 0.5, 1.0, 2.0, 5.0):
-            k, canonical = quantize_log2_det(0.0, a)
+            (k,), (canonical,) = fold_log2_dets(np.array([0.0]), a)
             assert k == 0
             assert canonical == 1.0
             v = qdet(a)(SymPosDefMatrix(np.eye(4)))
@@ -99,7 +98,7 @@ class TestQuantizedDetCost:
         # Enumeration oracle: exactly one k puts 2**k * 6 inside [1, 2).
         k_expect, folded_expect = enumerate_quantizer(6.0, 1.0)
         assert (k_expect, folded_expect) == (-2, 1.5)
-        k, canonical = quantize_log2_det(math.log2(6.0), 1.0)
+        (k,), (canonical,) = fold_log2_dets(np.array([math.log2(6.0)]), 1.0)
         assert k == k_expect
         assert canonical == pytest.approx(folded_expect, rel=1e-12)
         v = qdet(1.0)(SymPosDefMatrix(np.diag([6.0])))
@@ -108,7 +107,7 @@ class TestQuantizedDetCost:
     def test_det_half_a_two(self):
         k_expect, folded_expect = enumerate_quantizer(0.5, 2.0)
         assert (k_expect, folded_expect) == (1, 2.0)
-        k, canonical = quantize_log2_det(math.log2(0.5), 2.0)
+        (k,), (canonical,) = fold_log2_dets(np.array([math.log2(0.5)]), 2.0)
         assert k == k_expect
         assert canonical == pytest.approx(2.0, rel=1e-12)
         assert 1.0 <= canonical < 4.0
@@ -119,7 +118,7 @@ class TestQuantizedDetCost:
         M = random_pd(n, seed)
         det = math.exp(sum(math.log(w) for w in np.linalg.eigvalsh(M.entries)))
         k_expect, folded_expect = enumerate_quantizer(det, a)
-        k, canonical = quantize_log2_det(math.log2(det), a)
+        (k,), (canonical,) = fold_log2_dets(np.array([math.log2(det)]), a)
         assert k == k_expect
         assert canonical == pytest.approx(folded_expect, rel=1e-9)
 
@@ -135,7 +134,7 @@ class TestQuantizedDetCost:
     def test_boundary_snaps_to_lower_edge(self):
         # A determinant exactly on a lattice point folds to 1, not 2**a.
         for a in (0.5, 1.0, 2.0):
-            k, canonical = quantize_log2_det(3.0 * a, a)
+            (k,), (canonical,) = fold_log2_dets(np.array([3.0 * a]), a)
             assert k == -3
             assert canonical == pytest.approx(1.0, abs=1e-12)
 
@@ -328,9 +327,9 @@ class TestArrayMapParity:
 
     def test_signed_zero_folds_to_one(self):
         for a in PARITY_CONSTANTS:
-            _, folded = fold_log2_dets(np.array([0.0, -0.0]), a)
+            k, folded = fold_log2_dets(np.array([0.0, -0.0]), a)
             assert folded.tolist() == [1.0, 1.0]
-            assert quantize_log2_det(-0.0, a) == (0, 1.0)
+            assert k.tolist() == [0, 0]
 
     def test_controls_map_stacks(self):
         stack = np.array([random_pd(3, seed).entries for seed in range(5)])

