@@ -124,11 +124,11 @@ class _InputError(ValueError):
 
 
 def _read_input(path: str, parse):
-    """parse applied to the text of the file at path. A file that cannot
-    be read, and a ValueError from decoding or from parse, raise
-    _InputError naming the path."""
+    """parse applied to the UTF-8 text of the file at path, without a
+    leading byte-order mark. A file that cannot be read, and a ValueError
+    from decoding or from parse, raise _InputError naming the path."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return parse(handle.read())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None

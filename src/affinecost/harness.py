@@ -9,23 +9,20 @@ The probe runs through the same trial runner and tries one candidate per
 sample, the scalar matrix of equal determinant, which covers every sample
 of a cost that factors through the determinant. Kernel estimation reads
 the cost's value map on log-determinants and builds no matrix.
-Every check samples matrices through per-trial seeds split off a master
-seed, so a report is a deterministic function of its TrialConfig alone
-and independent of execution order. A trial's stream is
-np.random.default_rng of the 64-bit blake2b key of (master seed, check,
-dim, trial); each chunk's Generators are seeded in one batch by
-rng.default_rngs, which computes SeedSequence's state for all its keys at
-once, and give those streams bit for bit. Each (check, dim) draws and
-scores its trials as (trials, n, n) stacks of at most CHUNK_ENTRIES
-entries; a matrix has the same bits in any stack, so chunking changes no
-report. Each stack a cost scores passes gate_pd, the gate SymPosDefMatrix
-applies, and is the only value the harness gates: the samplers' draws and
-their grams are valid by construction (the linalg sampler tests hold them
-to it). Each cost scores a whole stack as one CostValues array, and each
-sub-check's discrepancies and fail mask are arrays over the chunk's
-trials. Failures are data, not errors: they are counted from the masks
-and aggregated into reports, and only failing trials are serialized as
-counterexamples.
+Every trial draws from its own stream, np.random.default_rng of the
+64-bit blake2b key of (master seed, check, dim, trial), so a report is a
+deterministic function of its TrialConfig alone. The runner makes one
+pass per dimension, in chunks of trials: a chunk seeds every named
+check's streams in one rng.default_rngs batch, which gives those streams
+bit for bit, and draws them as (trials, n, n) stacks. All the stacks the
+chunk scores, at most CHUNK_ENTRIES entries, pass gate_pd (the gate
+SymPosDefMatrix applies) in one call, and each cost scores them in one
+values call; a matrix has the same bits in any stack, so neither batching
+nor chunking changes a report. gate_pd is the harness's only gate: the
+samplers' draws and their grams are valid by construction (the linalg
+sampler tests hold them to it). Failures are data, not errors: each
+sub-check's fail mask over a chunk's trials is counted into its report,
+and only failing trials are serialized as counterexamples.
 """
 
 from __future__ import annotations
@@ -48,9 +45,10 @@ from .linalg import (congruence, log_det, random_gl, random_orthogonal,  # noqa:
 # Counterexamples stored per check; failure counts are always exact.
 MAX_COUNTEREXAMPLES = 10
 
-# Matrix entries per stack: each (check, dim) runs its trials in chunks of
-# CHUNK_ENTRIES // n**2 (at least one), so a pass holds a few stacks of
-# at most this many entries whatever the dimension and trial count.
+# Matrix entries a chunk scores: dimension n runs its trials in chunks of
+# CHUNK_ENTRIES // (n**2 * stacks staged per trial by all named checks), at
+# least one, so a pass holds a few stacks of at most this many entries
+# whatever the dimension, trial count and checks.
 CHUNK_ENTRIES = 2**15
 
 # Kernel scan: log2 t covers (0, 4] (t up to 16) in dyadic steps, fine
@@ -180,84 +178,95 @@ class KernelEstimate:
         }
 
 
-def _trial_rngs(master_seed: int, check_name: str, dim: int, trials) -> list:
-    """The Generators of trials, each np.random.default_rng of its trial's
-    64-bit blake2b key, seeded together by rng.default_rngs.
-
-    Counter-based split: each trial gets its own stream, independent of
-    execution order, so reports never depend on scheduling.
-    """
+def _trial_rngs(master_seed: int, names, dim: int, trials) -> list:
+    """The Generators of the named kinds' trials at dim, kind-major: each
+    is np.random.default_rng of its trial's 64-bit blake2b key, so no
+    stream depends on execution order, and one rng.default_rngs call
+    seeds them all."""
     # Imported on first use, as np.random is: loading numpy.random costs
     # about 12 ms and 2.5 MB, which commands that draw nothing skip.
     from .rng import default_rngs
 
-    # The key hashes f"{master_seed}|{check_name}|{dim}|{trial}"; the
-    # prefix is hashed once and copied for each trial.
-    prefix = hashlib.blake2b(f"{master_seed}|{check_name}|{dim}|".encode(), digest_size=8)
+    # The key hashes f"{master_seed}|{name}|{dim}|{trial}"; each prefix is
+    # hashed once and copied for each trial.
+    suffixes = [str(trial).encode() for trial in trials]
     digests = []
-    for trial in trials:
-        key = prefix.copy()
-        key.update(str(trial).encode())
-        digests.append(key.digest())
+    for name in names:
+        prefix = hashlib.blake2b(f"{master_seed}|{name}|{dim}|".encode(), digest_size=8)
+        for suffix in suffixes:
+            key = prefix.copy()
+            key.update(suffix)
+            digests.append(key.digest())
     return default_rngs(np.frombuffer(b"".join(digests), dtype=">u8"))
+
+
+def _rows(values: CostValues, rows: slice) -> CostValues:
+    payload = None if values.payload is None else values.payload[rows]
+    return CostValues(values.canonical[rows], values.class_tag, payload)
+
+
+def _where(mask, v: CostValues, u: CostValues) -> CostValues:
+    # v's values where mask holds, u's elsewhere.
+    payload = None if u.payload is None else np.where(mask[:, None, None], v.payload, u.payload)
+    return CostValues(np.where(mask, v.canonical, u.canonical), u.class_tag, payload)
 
 
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
     """Drive the named trial kinds for several costs over shared samples;
     returns one InvarianceReport per cost, its checks in names order.
 
-    Each (kind, dim) runs its trials in chunks of CHUNK_ENTRIES entries.
-    A kind draws a chunk from its trials' own streams as (trials, n, n)
-    stacks and yields (sub_name, inputs, lhs, rhs) tuples: inputs maps
-    names to raw stacks, whose slices are serialized only on failure, and
-    lhs and rhs hold each cost's CostValues over the chunk. Sharing the
-    sampled matrices across costs and kinds changes nothing in any single
-    report: trial streams depend only on (master_seed, kind, dim, trial),
-    and each kind keeps at most MAX_COUNTEREXAMPLES counterexamples per
-    cost, in (dim, trial, sub-check) order.
+    Each kind draws a chunk's stacks from its trials' streams, stages each
+    stack it scores into the chunk's batch (sized by _TRIALS), and yields
+    (sub_name, inputs, lhs, rhs, guard): inputs maps names to raw stacks,
+    serialized only on failure; lhs and rhs are rows of the batch; a guard
+    (i, j) compares lhs with rhs only where f(i) = f(j), and lhs with
+    itself elsewhere. Each kind keeps at most MAX_COUNTEREXAMPLES
+    counterexamples per cost, in (dim, trial, sub-check) order.
     """
-    def score(stack) -> list:
-        # Gates a stack as SymPosDefMatrix gates each matrix; each cost's
-        # values on it, with the log-dets of the gate's batched Cholesky.
-        log_dets = gate_pd(stack)
-        return [f.values(stack, log_dets) for f in costs]
-
+    per_trial = sum(_TRIALS[name][1] for name in names)
     totals = [dict() for _ in costs]
-    examples: list = [[] for _ in costs]
-    for name in names:
-        trial_fn = _TRIALS[name]
-        caps = [len(found) + MAX_COUNTEREXAMPLES for found in examples]
-        for dim in cfg.dims:
-            step = max(1, CHUNK_ENTRIES // dim**2)
-            for first in range(0, cfg.trials, step):
-                trials = range(first, min(first + step, cfg.trials))
-                rngs = _trial_rngs(cfg.master_seed, name, dim, trials)
-                subs = list(trial_fn(dim, rngs, score, cfg.rel_tol))
-                for slot in range(len(costs)):
-                    failed = []
-                    for sub_name, _, lhs, rhs in subs:
-                        disc = value_discrepancies(lhs[slot], rhs[slot])
-                        mask = disc > value_tolerance(lhs[slot], cfg.rel_tol)
-                        failed.append(mask)
-                        runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
-                        totals[slot][sub_name] = (runs + len(trials), fails + int(mask.sum()),
-                                                  max(worst, float(disc.max())))
-                    for t in np.flatnonzero(np.any(failed, axis=0)).tolist():
-                        for (sub_name, inputs, _, _), mask in zip(subs, failed):
-                            if mask[t] and len(examples[slot]) < caps[slot]:
-                                serialized = {k: format_matrix(stack[t])
-                                              for k, stack in inputs.items()}
-                                examples[slot].append(
-                                    Counterexample(sub_name, dim, trials[t], serialized)
-                                )
-    reports = []
-    for slot, f in enumerate(costs):
-        checks = tuple(
-            CheckResult(name, runs, fails, worst)
-            for name, (runs, fails, worst) in totals[slot].items()
-        )
-        reports.append(InvarianceReport(f.name, checks, tuple(examples[slot])))
-    return reports
+    examples = [[[] for _ in names] for _ in costs]
+    for dim in cfg.dims:
+        step = max(1, CHUNK_ENTRIES // (dim**2 * per_trial))
+        for first in range(0, cfg.trials, step):
+            trials = range(first, min(first + step, cfg.trials))
+            m = len(trials)
+            rngs = _trial_rngs(cfg.master_seed, names, dim, trials)
+            batch = np.empty((per_trial * m, dim, dim))
+            rows = iter(range(0, len(batch), m))
+
+            def stage(stack) -> slice:
+                row = next(rows)
+                batch[row:row + m] = stack
+                return slice(row, row + m)
+
+            subs = [(k, sub) for k, name in enumerate(names)
+                    for sub in _TRIALS[name][0](dim, rngs[k * m:(k + 1) * m], stage)]
+            del rngs  # spent Generators, 0.4 MB at 500 trials, freed before the gate
+            log_dets = gate_pd(batch)  # SymPosDefMatrix's gate, and its Cholesky's log-dets
+            for slot, f in enumerate(costs):
+                values = f.values(batch, log_dets)
+                failed = []
+                for _, (sub_name, _, lhs, rhs, guard) in subs:
+                    u, v = _rows(values, lhs), _rows(values, rhs)
+                    if guard:
+                        v = _where(values_match(*(_rows(values, g) for g in guard), cfg.rel_tol),
+                                   v, u)
+                    disc = value_discrepancies(u, v)
+                    mask = disc > value_tolerance(u, cfg.rel_tol)
+                    failed.append(mask)
+                    runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
+                    totals[slot][sub_name] = (runs + m, fails + int(mask.sum()),
+                                              max(worst, float(disc.max())))
+                for t in np.flatnonzero(np.any(failed, axis=0)).tolist():
+                    for (k, (sub_name, inputs, *_)), mask in zip(subs, failed):
+                        if mask[t] and len(examples[slot][k]) < MAX_COUNTEREXAMPLES:
+                            examples[slot][k].append(Counterexample(
+                                sub_name, dim, trials[t],
+                                {key: format_matrix(stack[t]) for key, stack in inputs.items()}))
+    return [InvarianceReport(f.name, tuple(CheckResult(name, *t) for name, t in total.items()),
+                             tuple(e for kind in found for e in kind))
+            for f, total, found in zip(costs, totals, examples)]
 
 
 def _solved_scalars(M) -> np.ndarray:
@@ -271,75 +280,66 @@ def _gram(A) -> np.ndarray:
     return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
-def _orthogonal_trial(n, rngs, score, rel_tol):
+def _orthogonal_trial(n, rngs, stage):
     A = random_gl_stack(n, rngs)
     Q = random_orthogonal_stack(n, rngs)
     gram = _gram(A)
-    yield "orthogonal", {"A": A, "Q": Q}, score(gram), score(congruence_stack(gram, Q))
+    yield "orthogonal", {"A": A, "Q": Q}, stage(gram), stage(congruence_stack(gram, Q)), None
 
 
-def _commutator_trial(n, rngs, score, rel_tol):
+def _commutator_trial(n, rngs, stage):
     A = random_gl_stack(n, rngs)
     B = random_gl_stack(n, rngs)
-    lhs = score(congruence_stack(_gram(B), A))
-    yield "commutator", {"A": A, "B": B}, lhs, score(congruence_stack(_gram(A), B))
+    lhs = stage(congruence_stack(_gram(B), A))
+    yield "commutator", {"A": A, "B": B}, lhs, stage(congruence_stack(_gram(A), B)), None
 
 
-def _svd_collapse_trial(n, rngs, score, rel_tol):
+def _svd_collapse_trial(n, rngs, stage):
     A = random_gl_stack(n, rngs)
     B = random_gl_stack(n, rngs)
-    full = score(congruence_stack(_gram(B), A))
+    full = stage(congruence_stack(_gram(B), A))
     # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
     core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
-    yield "svd_collapse", {"A": A, "B": B}, full, score(core[:, :, None] * np.eye(n))
+    yield "svd_collapse", {"A": A, "B": B}, full, stage(core[:, :, None] * np.eye(n)), None
 
 
-def _where(mask, v: CostValues, u: CostValues) -> CostValues:
-    # v's values where mask holds, u's elsewhere.
-    payload = None if u.payload is None else np.where(mask[:, None, None], v.payload, u.payload)
-    return CostValues(np.where(mask, v.canonical, u.canonical), u.class_tag, payload)
-
-
-def _implication_trial(n, rngs, score, rel_tol):
+def _implication_trial(n, rngs, stage):
     M = random_pd_stack(n, rngs)
-    at_m = score(M)
-    S = random_gl_stack(n, rngs, unit_det=True)
-    N = congruence_stack(M, S)
-    at_n = score(N)
+    at_m = stage(M)
+    N = congruence_stack(M, random_gl_stack(n, rngs, unit_det=True))
+    at_n = stage(N)
     A = random_gl_stack(n, rngs)
-    lhs, at_na = score(congruence_stack(M, A)), score(congruence_stack(N, A))
+    lhs, at_na = stage(congruence_stack(M, A)), stage(congruence_stack(N, A))
     # Equal-value pairs are constructed, not searched: N is the
     # SL-congruence when that preserves the value (always, for factoring
-    # costs), and where it does not, f(A^T M A) is compared with itself;
-    # rejection sampling on equality of reals would never terminate.
-    rhs = [_where(values_match(m, m_n, rel_tol), v, u)
-           for m, m_n, u, v in zip(at_m, at_n, lhs, at_na)]
-    yield "implication", {"M": M, "N": N, "A": A}, lhs, rhs
+    # costs), and where it does not, the guard compares f(A^T M A) with
+    # itself; rejection sampling on equality of reals would never terminate.
+    yield "implication", {"M": M, "N": N, "A": A}, lhs, at_na, (at_m, at_n)
 
 
-def _det_factorization_trial(n, rngs, score, rel_tol):
+def _det_factorization_trial(n, rngs, stage):
     M = random_pd_stack(n, rngs)
-    at_m = score(M)
+    at_m = stage(M)
     S = random_gl_stack(n, rngs, unit_det=True)
-    conjugated = score(congruence_stack(M, S))
+    conjugated = stage(congruence_stack(M, S))
     scalar = _solved_scalars(M)
-    yield "sl_conjugation", {"M": M, "S": S}, conjugated, at_m
-    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, score(scalar)
+    yield "sl_conjugation", {"M": M, "S": S}, conjugated, at_m, None
+    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, stage(scalar), None
 
 
-def _surjectivity_trial(n, rngs, score, rel_tol):
+def _surjectivity_trial(n, rngs, stage):
     M = random_pd_stack(n, rngs)
-    at_m = score(M)
-    yield "surjectivity", {"M": M}, at_m, score(_solved_scalars(M))
+    yield "surjectivity", {"M": M}, stage(M), stage(_solved_scalars(M)), None
 
 
+# Each trial kind, and the stacks it stages per trial: the batch's size.
 _TRIALS = {
-    "implication": _implication_trial,
-    "orthogonal": _orthogonal_trial,
-    "commutator": _commutator_trial,
-    "svd_collapse": _svd_collapse_trial,
-    "det_factorization": _det_factorization_trial,
-    "surjectivity": _surjectivity_trial,
+    "implication": (_implication_trial, 4),
+    "orthogonal": (_orthogonal_trial, 2),
+    "commutator": (_commutator_trial, 2),
+    "svd_collapse": (_svd_collapse_trial, 2),
+    "det_factorization": (_det_factorization_trial, 3),
+    "surjectivity": (_surjectivity_trial, 2),
 }
 
 

@@ -403,3 +403,20 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(path) in captured.err
+
+    @pytest.mark.parametrize("command", ["mcd", "decompose"])
+    def test_byte_order_mark_is_not_data(self, command, one_d_csv, sl3_file, tmp_path, capsys):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark;
+        # read as data, it turned the first CSV row into a header.
+        plain = one_d_csv if command == "mcd" else sl3_file
+        marked = tmp_path / "marked"
+        with open(plain, "rb") as handle:
+            marked.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        extra = ["--h", "3"] if command == "mcd" else []
+        outputs = []
+        for path in (plain, str(marked)):
+            assert main([command, "--input", path, *extra]) == EXIT_PASS
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        if command == "mcd":
+            assert json.loads(outputs[1])["examined"] == 4

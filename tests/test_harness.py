@@ -14,6 +14,7 @@ from affinecost.cost import (
     DET_COST,
     IDENTITY_COST,
     TRACE_COST,
+    CostFunction,
     KernelSpec,
     cost_from_selector,
     factored_cost,
@@ -279,16 +280,16 @@ class TestStackedEvaluation:
             (random_orthogonal, random_orthogonal_stack),
         ]
         for one, stacked in samplers:
-            stack = stacked(n, _trial_rngs(5, "parity", n, range(7)))
+            stack = stacked(n, _trial_rngs(5, ("parity",), n, range(7)))
             for t in range(7):
-                single = one(n, _trial_rngs(5, "parity", n, (t,))[0]).entries
+                single = one(n, _trial_rngs(5, ("parity",), n, (t,))[0]).entries
                 assert single.tobytes() == stack[t].tobytes()
-        ms = random_pd_stack(n, _trial_rngs(6, "parity", n, range(7)))
-        gs = random_gl_stack(n, _trial_rngs(7, "parity", n, range(7)))
+        ms = random_pd_stack(n, _trial_rngs(6, ("parity",), n, range(7)))
+        gs = random_gl_stack(n, _trial_rngs(7, ("parity",), n, range(7)))
         stack = congruence_stack(ms, gs)
         for t in range(7):
-            single = congruence(random_pd(n, _trial_rngs(6, "parity", n, (t,))[0]),
-                                random_gl(n, _trial_rngs(7, "parity", n, (t,))[0]))
+            single = congruence(random_pd(n, _trial_rngs(6, ("parity",), n, (t,))[0]),
+                                random_gl(n, _trial_rngs(7, ("parity",), n, (t,))[0]))
             assert single.entries.tobytes() == stack[t].tobytes()
 
     def test_reports_do_not_depend_on_chunking(self, monkeypatch):
@@ -319,6 +320,54 @@ class TestStackedEvaluation:
             tracemalloc.stop()
         assert report.verdict == "pass"
         assert peak < 16 * 8 * harness.CHUNK_ENTRIES
+
+    def test_memory_bounded_for_the_batched_pass(self):
+        # Every check's stacks at a dimension share one chunk, sized by
+        # the entries it scores over all of them.
+        cfg = TrialConfig(dims=(64,), trials=300)
+        tracemalloc.start()
+        try:
+            (report,) = run_all_checks([DET_COST], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "pass"
+        assert peak < 16 * 8 * harness.CHUNK_ENTRIES
+
+    def test_one_gate_and_one_seeding_pass_per_dimension(self, monkeypatch):
+        # At these sizes each dimension is one chunk: every check's trials
+        # are seeded together, and their stacks are gated and scored once.
+        from affinecost import rng
+
+        calls = {"gate": 0, "seed": 0, "values": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "gate_pd", counted("gate", harness.gate_pd))
+        monkeypatch.setattr(rng, "default_rngs", counted("seed", rng.default_rngs))
+        monkeypatch.setattr(CostFunction, "values", counted("values", CostFunction.values))
+        costs = [DET_COST, QDET_HALF, TRACE_COST]
+        cfg = TrialConfig(dims=(1, 2, 3), trials=10, master_seed=4)
+        reports = run_all_checks(costs, cfg)
+        assert calls == {"gate": 3, "seed": 3, "values": 3 * len(costs)}
+        assert [r.verdict for r in reports] == ["pass", "pass", "fail"]
+
+    @pytest.mark.parametrize("name", sorted(harness._TRIALS))
+    def test_kinds_stage_the_stacks_they_declare(self, name):
+        # The chunk size counts on each kind's declared stacks per trial.
+        trial_fn, per_trial = harness._TRIALS[name]
+        staged = []
+
+        def stage(stack):
+            staged.append(stack.shape)
+            return slice(0, 0)
+
+        list(trial_fn(3, _trial_rngs(1, (name,), 3, range(5)), stage))
+        assert staged == [(5, 3, 3)] * per_trial
 
 
 def blake2b_key(master_seed, check_name, dim, trial) -> int:
@@ -362,17 +411,27 @@ class TestTrialSeeding:
     @pytest.mark.parametrize("seed, name, dim", [(0, "implication", 1), (41, "svd_collapse", 6),
                                                  (12345, "parity", 64)])
     def test_generators_match_default_rng(self, seed, name, dim):
-        for trial, rng in enumerate(_trial_rngs(seed, name, dim, range(40))):
+        for trial, rng in enumerate(_trial_rngs(seed, (name,), dim, range(40))):
             reference = np.random.default_rng(blake2b_key(seed, name, dim, trial))
             assert rng.bit_generator.state == reference.bit_generator.state
             for draw in (lambda g: g.standard_normal(9), lambda g: g.uniform(-1.7, 1.7, 5),
                          lambda g: g.random(3)):
                 assert draw(rng).tobytes() == draw(reference).tobytes()
 
+    def test_kinds_are_seeded_kind_major(self):
+        # One batch over several kinds holds each kind's own streams, in
+        # the order the kinds are named.
+        names = ("implication", "det_factorization", "surjectivity")
+        batch = _trial_rngs(3, names, 4, range(2, 9))
+        singles = [rng for name in names for rng in _trial_rngs(3, (name,), 4, range(2, 9))]
+        assert len(batch) == len(singles) == 21
+        for rng, single in zip(batch, singles):
+            assert rng.bit_generator.state == single.bit_generator.state
+
     def test_chunk_matches_one_by_one(self):
-        chunk = _trial_rngs(7, "orthogonal", 3, range(5, 40))
+        chunk = _trial_rngs(7, ("orthogonal",), 3, range(5, 40))
         for trial, rng in zip(range(5, 40), chunk):
-            single = _trial_rngs(7, "orthogonal", 3, (trial,))[0]
+            single = _trial_rngs(7, ("orthogonal",), 3, (trial,))[0]
             assert rng.bit_generator.state == single.bit_generator.state
             assert rng.standard_normal(4).tobytes() == single.standard_normal(4).tobytes()
 
