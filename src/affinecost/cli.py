@@ -16,6 +16,7 @@ writes the report or the text, and main alone maps errors to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,7 +75,9 @@ def _parse_dims(text: str) -> tuple:
     return dims
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process (about 1 ms a build); parsing leaves it unchanged.
     parser = _Parser(prog="affinecost", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

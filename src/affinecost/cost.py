@@ -20,9 +20,9 @@ Cost values carry a canonical real representative plus a class tag;
 equality is tolerance-aware and only defined between values of the same
 tag. Identity-cost values compare by their underlying matrices instead of
 the canonical real, which is merely a fingerprint there. CostValues holds
-a cost's values on a stack, and value_discrepancies is the one equality
-rule; the one-value forms (CostValue, cost_value_discrepancy,
-cost_values_match) are stacks of one over it.
+a cost's values on a stack; value_discrepancies, with values_match over
+it, is the one equality rule, and values compare only as stacks. A
+CostValue, the single value f(M) returns, has no comparison of its own.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class CostValues:
     class_tag: str
     payload: Optional[np.ndarray] = None
 
-    @classmethod
-    def of(cls, u: CostValue) -> "CostValues":
-        """The stack of one holding u."""
-        payload = None if u.payload is None else u.payload[None]
-        return cls(np.array([u.canonical]), u.class_tag, payload)
-
     def __getitem__(self, j: int) -> CostValue:
         payload = None if self.payload is None else self.payload[j]
         return CostValue(float(self.canonical[j]), self.class_tag, payload)
@@ -119,10 +113,10 @@ def value_discrepancies(u: CostValues, v: CostValues) -> np.ndarray:
     return np.abs(u.canonical - v.canonical) / np.maximum(1.0, np.maximum(a, b))
 
 
-def value_tolerance(u, rel_tol: float) -> float:
-    """The bound value_discrepancies is held to for a CostValue or
-    CostValues u: rel_tol, except that matrix-valued (identity) costs
-    compare entrywise at IDENTITY_ENTRY_TOL."""
+def value_tolerance(u: CostValues, rel_tol: float) -> float:
+    """The bound value_discrepancies is held to for CostValues u: rel_tol,
+    except that matrix-valued (identity) costs compare entrywise at
+    IDENTITY_ENTRY_TOL."""
     return IDENTITY_ENTRY_TOL if u.payload is not None else rel_tol
 
 
@@ -130,16 +124,6 @@ def values_match(u: CostValues, v: CostValues, rel_tol: float = COST_REL_TOL) ->
     """Elementwise tolerance-aware equality; comparing different classes
     is an error."""
     return value_discrepancies(u, v) <= value_tolerance(u, rel_tol)
-
-
-def cost_value_discrepancy(u: CostValue, v: CostValue) -> float:
-    """value_discrepancies for one pair of values."""
-    return float(value_discrepancies(CostValues.of(u), CostValues.of(v))[0])
-
-
-def cost_values_match(u: CostValue, v: CostValue, rel_tol: float = COST_REL_TOL) -> bool:
-    """values_match for one pair of values."""
-    return bool(values_match(CostValues.of(u), CostValues.of(v), rel_tol)[0])
 
 
 @dataclass(frozen=True)

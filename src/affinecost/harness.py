@@ -205,12 +205,6 @@ def _rows(values: CostValues, rows: slice) -> CostValues:
     return CostValues(values.canonical[rows], values.class_tag, payload)
 
 
-def _where(mask, v: CostValues, u: CostValues) -> CostValues:
-    # v's values where mask holds, u's elsewhere.
-    payload = None if u.payload is None else np.where(mask[:, None, None], v.payload, u.payload)
-    return CostValues(np.where(mask, v.canonical, u.canonical), u.class_tag, payload)
-
-
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
     """Drive the named trial kinds for several costs over shared samples;
     returns one InvarianceReport per cost, its checks in names order.
@@ -219,8 +213,8 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     stack it scores into the chunk's batch (sized by _TRIALS), and yields
     (sub_name, inputs, lhs, rhs, guard): inputs maps names to raw stacks,
     serialized only on failure; lhs and rhs are rows of the batch; a guard
-    (i, j) compares lhs with rhs only where f(i) = f(j), and lhs with
-    itself elsewhere. Each kind keeps at most MAX_COUNTEREXAMPLES
+    (i, j) compares lhs with rhs only where f(i) = f(j); a failed guard
+    counts a zero discrepancy. Each kind keeps at most MAX_COUNTEREXAMPLES
     counterexamples per cost, in (dim, trial, sub-check) order.
     """
     per_trial = sum(_TRIALS[name][1] for name in names)
@@ -248,12 +242,10 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                 values = f.values(batch, log_dets)
                 failed = []
                 for _, (sub_name, _, lhs, rhs, guard) in subs:
-                    u, v = _rows(values, lhs), _rows(values, rhs)
+                    disc = value_discrepancies(_rows(values, lhs), _rows(values, rhs))
                     if guard:
-                        v = _where(values_match(*(_rows(values, g) for g in guard), cfg.rel_tol),
-                                   v, u)
-                    disc = value_discrepancies(u, v)
-                    mask = disc > value_tolerance(u, cfg.rel_tol)
+                        disc[~values_match(*(_rows(values, g) for g in guard), cfg.rel_tol)] = 0.0
+                    mask = disc > value_tolerance(values, cfg.rel_tol)
                     failed.append(mask)
                     runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
                     totals[slot][sub_name] = (runs + m, fails + int(mask.sum()),
@@ -312,8 +304,8 @@ def _implication_trial(n, rngs, stage):
     lhs, at_na = stage(congruence_stack(M, A)), stage(congruence_stack(N, A))
     # Equal-value pairs are constructed, not searched: N is the
     # SL-congruence when that preserves the value (always, for factoring
-    # costs), and where it does not, the guard compares f(A^T M A) with
-    # itself; rejection sampling on equality of reals would never terminate.
+    # costs), and where it does not, the guard counts the trial as exact
+    # agreement; rejection sampling on equality of reals would never terminate.
     yield "implication", {"M": M, "N": N, "A": A}, lhs, at_na, (at_m, at_n)
 
 

@@ -209,9 +209,6 @@ class InvertibleMatrix(_GatedMatrix):
 
     _gate = staticmethod(gate_invertible)
 
-    def inverse(self) -> "InvertibleMatrix":
-        return InvertibleMatrix(np.linalg.inv(self.entries))
-
 
 class OrthogonalMatrix(_GatedMatrix):
     """Square matrix with Q^T Q within ORTHOGONALITY_TOL of the identity."""

@@ -26,7 +26,7 @@ smallest subset within the band of the minimum: with the values 1,
 (0, 2, 3) and (1, 2, 3), (0, 1, 3) is within the band of the incumbent
 (0, 1, 2) and does not replace it, (0, 2, 3) is more than a band below
 it and does, and the answer is (0, 2, 3), though (0, 1, 3) is within the
-band of that minimum. ROADMAP item 3 plans the lexicographic rule. Cost
+band of that minimum. ROADMAP item 4 plans the lexicographic rule. Cost
 values are nonnegative, so a subset that replaces the incumbent is below
 every value scored before it, and the chain visits only those strict
 running minima. The reported CostValue is f(subset_covariance(best)),

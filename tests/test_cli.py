@@ -9,6 +9,7 @@ from affinecost.cli import (
     EXIT_PASS,
     EXIT_UNRECOGNIZED_KERNEL,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from affinecost.linalg import format_matrix, random_sl
@@ -334,6 +335,20 @@ class TestDeterminism:
 
 
 class TestUsage:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert build_parser() is build_parser()
+        argv = ["check", "--cost", "det", "--dims", "2", "--trials", "5", "--seed", "3"]
+        build_parser.cache_clear()
+        assert main(argv) == EXIT_PASS
+        alone = capsys.readouterr()
+        build_parser.cache_clear()
+        assert main(["check", "--dims", "2"]) == EXIT_USAGE
+        refused = capsys.readouterr()
+        assert refused.out == "" and "--cost" in refused.err
+        assert main(argv) == EXIT_PASS
+        after = capsys.readouterr()
+        assert (after.out, after.err) == (alone.out, alone.err)
+
     def test_no_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
         capsys.readouterr()

@@ -12,15 +12,13 @@ from affinecost.cost import (
     IDENTITY_COST,
     QUANT_BOUNDARY_SNAP,
     TRACE_COST,
-    CostValue,
     CostValues,
     KernelSpec,
     cost_from_selector,
-    cost_value_discrepancy,
-    cost_values_match,
     factored_cost,
     fold_log2_dets,
     value_discrepancies,
+    values_match,
 )
 from affinecost.linalg import (
     InvertibleMatrix,
@@ -41,6 +39,11 @@ def qdet(a):
     return factored_cost(KernelSpec.lattice(a))
 
 
+def values_at(f, M) -> CostValues:
+    """f's values on the stack of one holding M."""
+    return f.values(M.entries[None], np.array([log_det(M)]))
+
+
 class TestDetCost:
     def test_identity(self):
         assert DET_COST(SymPosDefMatrix(np.eye(3))).canonical == pytest.approx(1.0, abs=1e-14)
@@ -52,7 +55,7 @@ class TestDetCost:
     def test_sl_congruence_invariance(self, seed, n):
         M = random_pd(n, seed)
         S = random_sl(n, seed + 7)
-        assert cost_values_match(DET_COST(M), DET_COST(congruence(M, S)))
+        assert values_match(values_at(DET_COST, M), values_at(DET_COST, congruence(M, S)))
 
     @pytest.mark.parametrize("s", [1e-160, 1e160])
     def test_value_outside_float64_range_raises(self, s):
@@ -148,9 +151,9 @@ class TestQuantizedDetCost:
                     M = random_pd(n, 400 + seed)
                     shift = InvertibleMatrix(2.0 ** (a * j / (2 * n)) * np.eye(n))
                     shifted = congruence(M, shift)
-                    u = qdet(a)(M)
-                    v = qdet(a)(shifted)
-                    assert cost_values_match(u, v)
+                    u = values_at(qdet(a), M)
+                    v = values_at(qdet(a), shifted)
+                    assert values_match(u, v)
 
     def test_rejects_nonpositive_constant(self):
         for a in (0.0, -1.0):
@@ -163,7 +166,7 @@ class TestFactoredCost:
         f = factored_cost(KernelSpec.trivial())
         for seed in range(10):
             M = random_pd(3, seed)
-            assert cost_values_match(f(M), DET_COST(M))
+            assert values_match(values_at(f, M), values_at(DET_COST, M))
 
     def test_lattice_dispatch(self):
         f = factored_cost(KernelSpec.lattice(1.0))
@@ -179,7 +182,7 @@ class TestFactoredCost:
             n = 2 + seed % 3
             M = random_pd(n, 100 + seed)
             scaled = SymPosDefMatrix(2.0 ** (a / n) * M.entries)
-            assert cost_values_match(f(M), f(scaled))
+            assert values_match(values_at(f, M), values_at(f, scaled))
 
     def test_equal_dets_equal_costs(self):
         for f in (DET_COST, factored_cost(KernelSpec.lattice(0.5))):
@@ -187,7 +190,7 @@ class TestFactoredCost:
                 n = 1 + seed % 4
                 M = random_pd(n, seed)
                 N = congruence(M, random_sl(n, 900 + seed))
-                assert cost_values_match(f(M), f(N))
+                assert values_match(values_at(f, M), values_at(f, N))
 
     def test_value_equals_gram_of_square_root(self):
         # Every M is the Gram matrix of its own PD square root, so the
@@ -199,32 +202,32 @@ class TestFactoredCost:
                 w, v = np.linalg.eigh(M.entries)
                 root = InvertibleMatrix((v * np.sqrt(w)) @ v.T)
                 gram = congruence(SymPosDefMatrix(np.eye(n)), root)
-                assert cost_values_match(f(M), f(gram))
+                assert values_match(values_at(f, M), values_at(f, gram))
 
 
 class TestIdentityCost:
     def test_reflexive(self):
         M = random_pd(3, 1)
-        assert cost_values_match(IDENTITY_COST(M), IDENTITY_COST(M))
+        assert values_match(values_at(IDENTITY_COST, M), values_at(IDENTITY_COST, M))
 
     def test_distinct_matrices_differ(self):
-        u = IDENTITY_COST(SymPosDefMatrix(np.eye(2)))
-        v = IDENTITY_COST(SymPosDefMatrix(2.0 * np.eye(2)))
-        assert not cost_values_match(u, v)
+        u = values_at(IDENTITY_COST, SymPosDefMatrix(np.eye(2)))
+        v = values_at(IDENTITY_COST, SymPosDefMatrix(2.0 * np.eye(2)))
+        assert not values_match(u, v)
 
     def test_equivalence_relation_on_samples(self):
-        values = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
-        copies = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
+        values = [values_at(IDENTITY_COST, random_pd(3, seed)) for seed in range(8)]
+        copies = [values_at(IDENTITY_COST, random_pd(3, seed)) for seed in range(8)]
         for i, u in enumerate(values):
-            assert cost_values_match(u, copies[i])
-            assert cost_values_match(copies[i], u)
+            assert values_match(u, copies[i])
+            assert values_match(copies[i], u)
             for j, v in enumerate(values):
                 if i != j:
-                    assert not cost_values_match(u, v)
+                    assert not values_match(u, v)
         # transitivity across the exact-copy chain
-        third = [IDENTITY_COST(random_pd(3, seed)) for seed in range(8)]
+        third = [values_at(IDENTITY_COST, random_pd(3, seed)) for seed in range(8)]
         for a, b, c in zip(values, copies, third):
-            assert cost_values_match(a, b) and cost_values_match(b, c) and cost_values_match(a, c)
+            assert values_match(a, b) and values_match(b, c) and values_match(a, c)
 
     def test_fingerprint_is_deterministic(self):
         M = random_pd(4, 9)
@@ -243,26 +246,28 @@ class TestCostValueComparison:
     def test_mismatched_tags_raise(self):
         M = SymPosDefMatrix(np.eye(2))
         with pytest.raises(ValueError, match="not comparable"):
-            cost_values_match(DET_COST(M), TRACE_COST(M))
+            values_match(values_at(DET_COST, M), values_at(TRACE_COST, M))
         with pytest.raises(ValueError, match="not comparable"):
-            cost_value_discrepancy(DET_COST(M), IDENTITY_COST(M))
+            value_discrepancies(values_at(DET_COST, M), values_at(IDENTITY_COST, M))
 
     def test_distinct_quantization_constants_do_not_compare(self):
         M = SymPosDefMatrix(np.diag([6.0]))
         with pytest.raises(ValueError, match="not comparable"):
-            cost_values_match(qdet(1.0)(M), qdet(2.0)(M))
+            values_match(values_at(qdet(1.0), M), values_at(qdet(2.0), M))
 
     def test_relative_tolerance(self):
-        u = CostValue(100.0, "det")
-        v = CostValue(100.0 * (1 + 5e-9), "det")
-        w = CostValue(100.0 * (1 + 5e-8), "det")
-        assert cost_values_match(u, v, COST_REL_TOL)
-        assert not cost_values_match(u, w, COST_REL_TOL)
+        u = CostValues(np.array([100.0]), "det")
+        v = CostValues(np.array([100.0 * (1 + 5e-9)]), "det")
+        w = CostValues(np.array([100.0 * (1 + 5e-8)]), "det")
+        assert values_match(u, v, COST_REL_TOL)
+        assert not values_match(u, w, COST_REL_TOL)
 
     def test_absolute_below_one(self):
         # The band is rel_tol * max(1, |u|, |v|), so below 1 it is absolute.
-        assert cost_values_match(CostValue(1e-9, "det"), CostValue(5e-9, "det"))
-        assert cost_value_discrepancy(CostValue(0.5, "det"), CostValue(0.25, "det")) == 0.25
+        tiny, small = CostValues(np.array([1e-9]), "det"), CostValues(np.array([5e-9]), "det")
+        assert values_match(tiny, small)
+        half, quarter = CostValues(np.array([0.5]), "det"), CostValues(np.array([0.25]), "det")
+        assert value_discrepancies(half, quarter).tolist() == [0.25]
 
 
 # Inputs on which numpy's SIMD exp and power (AVX-512 builds) differ from
@@ -344,8 +349,6 @@ class TestArrayMapParity:
         disc = value_discrepancies(CostValues(u, "det"), CostValues(v, "det"))
         assert same_bits(disc, [abs(x - y) / max(1.0, abs(x), abs(y))
                                 for x, y in zip(u.tolist(), v.tolist())])
-        assert disc.tolist() == [cost_value_discrepancy(CostValue(x, "det"), CostValue(y, "det"))
-                                 for x, y in zip(u.tolist(), v.tolist())]
 
 
 class TestDetRange:

@@ -112,6 +112,8 @@ class TestTraceControl:
     def test_implication_vacuous_pairs_pass(self):
         report = check(TRACE_COST, small_cfg(), "implication")
         assert report.verdict == "pass"
+        # Where f(M) != f(N) the guard counts exact agreement.
+        assert report.checks[0].worst_discrepancy == 0.0
 
 
 class TestIdentityControl:
@@ -119,6 +121,7 @@ class TestIdentityControl:
         cfg = TrialConfig(dims=(2, 3), trials=50, master_seed=11)
         report = check(IDENTITY_COST, cfg, "implication")
         assert report.verdict == "pass"
+        assert report.checks[0].worst_discrepancy == 0.0
 
     def test_scalar_collapse_fails_first_nonscalar_sample(self):
         cfg = TrialConfig(dims=(2,), trials=5, master_seed=11)
