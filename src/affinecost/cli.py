@@ -36,9 +36,10 @@ from .harness import (
     UnrecognizedKernelError,
     check_det_factorization,
     estimate_kernel,
-    probe_scalar_surjectivity,
     run_invariance_suite,
 )
+# perfbench's tracer wraps this name on this module.
+from .harness import probe_scalar_surjectivity  # noqa: F401
 from .linalg import MAX_DIM, InvertibleMatrix, format_matrix, parse_matrix
 from .mcd import mcd_estimate, parse_dataset_csv
 
@@ -200,13 +201,13 @@ def run_kernel(args) -> int:
     cost = cost_from_selector(args.cost)
     cfg = _config_from_args(args)
     # Kernel estimation presumes a factoring cost; verify before scanning.
+    # The probe comes from the same pass as the check.
     gate = check_det_factorization(cost, cfg)
-    probe = probe_scalar_surjectivity(cost, cfg)
-    if gate.verdict != "pass" or probe.covered_fraction < 1.0:
+    if gate.verdict != "pass" or gate.probe.covered_fraction < 1.0:
         sys.stderr.write(
             f"cost {cost.name!r} fails the factorization precondition "
             f"(det-factorization verdict: {gate.verdict}, scalar coverage: "
-            f"{probe.covered_fraction:g}); kernel estimation refused\n"
+            f"{gate.probe.covered_fraction:g}); kernel estimation refused\n"
         )
         return EXIT_UNRECOGNIZED_KERNEL
     try:
@@ -255,9 +256,11 @@ def _decompose_text(text: str) -> tuple:
 def run_decompose(args) -> int:
     matrix, factors = _read_input(args.input, _decompose_text)
     product = reconstruct_factors(factors, matrix.n)
-    residual = float(
-        np.linalg.norm(product - matrix.entries) / max(1.0, np.linalg.norm(matrix.entries))
-    )
+    # ||P - M|| / max(1, ||M||), with both scaled by M's largest entry so
+    # that the norms' squares cannot overflow.
+    scale = float(np.abs(matrix.entries).max())
+    residual = float(np.linalg.norm((product - matrix.entries) / scale)
+                     / max(1.0 / scale, np.linalg.norm(matrix.entries / scale)))
     # Factor lines use 1-based indices, matching the commutator flags.
     report = {
         "factors": [{"i": f.row + 1, "j": f.col + 1, "lambda": f.scale} for f in factors],

@@ -5,24 +5,23 @@ the commutator equality, the SVD collapse, and determinant factorization),
 a scalar surjectivity probe, and kernel estimation. check(f, cfg, name)
 runs one identity check, named as in ALL_CHECKS, for one cost, and
 run_all_checks runs all five for several costs over shared samples.
-The probe runs through the same trial runner and tries one candidate per
-sample, the scalar matrix of equal determinant, which covers every sample
-of a cost that factors through the determinant. Kernel estimation reads
-the cost's value map on log-determinants and builds no matrix.
-Every trial draws from its own stream, np.random.default_rng of the
-64-bit blake2b key of (master seed, check, dim, trial), so a report is a
-deterministic function of its TrialConfig alone. The runner makes one
-pass per dimension, in chunks of trials: a chunk seeds every named
-check's streams in one rng.default_rngs batch, which gives those streams
-bit for bit, and draws them as (trials, n, n) stacks. All the stacks the
-chunk scores, at most CHUNK_ENTRIES entries, pass gate_pd (the gate
-SymPosDefMatrix applies) in one call, and each cost scores them in one
-values call; a matrix has the same bits in any stack, so neither batching
-nor chunking changes a report. gate_pd is the harness's only gate: the
-samplers' draws and their grams are valid by construction (the linalg
-sampler tests hold them to it). Failures are data, not errors: each
-sub-check's fail mask over a chunk's trials is counted into its report,
-and only failing trials are serialized as counterexamples.
+Each trial draws one family, M (PD), S (SL), A and B (GL) and Q
+(orthogonal), from one stream: np.random.default_rng of the 64-bit blake2b
+key of (master seed, dim, trial). So a report is a deterministic function
+of its TrialConfig, and a check's rows do not depend on the checks run
+beside it. The family's 10 stacks serve all six sub-checks, and the probe
+(f(M) against f(s*I) at s*I of equal determinant) is a view of
+scalar_collapse's rows, so run_invariance_suite makes one pass. The
+runner makes one pass per dimension, in chunks of trials: a chunk seeds
+its streams in one rng.default_rngs batch, bit for bit those streams,
+and draws them as (trials, n, n) stacks. The chunk's stacks, at most
+CHUNK_ENTRIES entries, pass gate_pd (SymPosDefMatrix's gate, the only
+one: the samplers' draws and grams are valid by construction) in one
+call, and each cost scores them in one values call; a matrix has the same
+bits in any stack, so neither batching nor chunking changes a report.
+Failures are data, not errors: each sub-check's fail mask is counted, and
+only failing trials are serialized as counterexamples. Kernel estimation
+reads the cost's value map on log-determinants and builds no matrix.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from .linalg import (congruence, log_det, random_gl, random_orthogonal,  # noqa:
 MAX_COUNTEREXAMPLES = 10
 
 # Matrix entries a chunk scores: dimension n runs its trials in chunks of
-# CHUNK_ENTRIES // (n**2 * stacks staged per trial by all named checks), at
-# least one, so a pass holds a few stacks of at most this many entries
-# whatever the dimension, trial count and checks.
+# CHUNK_ENTRIES // (n**2 * stacks the family stages per trial), at least
+# one, so a pass holds a few stacks of at most this many entries whatever
+# the dimension, trial count and checks.
 CHUNK_ENTRIES = 2**15
 
 # Kernel scan: log2 t covers (0, 4] (t up to 16) in dyadic steps, fine
@@ -126,11 +125,13 @@ class Counterexample:
 @dataclass(frozen=True)
 class InvarianceReport:
     """Aggregate of one or more checks; verdict passes only with zero
-    failures everywhere."""
+    failures everywhere. probe is the surjectivity probe over the same
+    samples, which every pass scores and as_dict leaves out."""
 
     cost_name: str
     checks: tuple
     counterexamples: tuple
+    probe: Optional[SurjectivityReport] = None
 
     @property
     def verdict(self) -> str:
@@ -178,25 +179,22 @@ class KernelEstimate:
         }
 
 
-def _trial_rngs(master_seed: int, names, dim: int, trials) -> list:
-    """The Generators of the named kinds' trials at dim, kind-major: each
-    is np.random.default_rng of its trial's 64-bit blake2b key, so no
-    stream depends on execution order, and one rng.default_rngs call
-    seeds them all."""
+def _trial_rngs(master_seed: int, dim: int, trials) -> list:
+    """The Generators of dim's trials: each is np.random.default_rng of
+    its trial's 64-bit blake2b key, so no stream depends on execution
+    order, and one rng.default_rngs call seeds them all."""
     # Imported on first use, as np.random is: loading numpy.random costs
     # about 12 ms and 2.5 MB, which commands that draw nothing skip.
     from .rng import default_rngs
 
-    # The key hashes f"{master_seed}|{name}|{dim}|{trial}"; each prefix is
-    # hashed once and copied for each trial.
-    suffixes = [str(trial).encode() for trial in trials]
+    # The key hashes f"{master_seed}|{dim}|{trial}"; the prefix is hashed
+    # once and copied for each trial.
+    prefix = hashlib.blake2b(f"{master_seed}|{dim}|".encode(), digest_size=8)
     digests = []
-    for name in names:
-        prefix = hashlib.blake2b(f"{master_seed}|{name}|{dim}|".encode(), digest_size=8)
-        for suffix in suffixes:
-            key = prefix.copy()
-            key.update(suffix)
-            digests.append(key.digest())
+    for trial in trials:
+        key = prefix.copy()
+        key.update(str(trial).encode())
+        digests.append(key.digest())
     return default_rngs(np.frombuffer(b"".join(digests), dtype=">u8"))
 
 
@@ -206,18 +204,22 @@ def _rows(values: CostValues, rows: slice) -> CostValues:
 
 
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
-    """Drive the named trial kinds for several costs over shared samples;
-    returns one InvarianceReport per cost, its checks in names order.
+    """Score the named checks' sub-checks (keys of _CHECKS) and the probe
+    for several costs over the trial family; returns one InvarianceReport
+    per cost, its checks and counterexamples in names order.
 
-    Each kind draws a chunk's stacks from its trials' streams, stages each
-    stack it scores into the chunk's batch (sized by _TRIALS), and yields
-    (sub_name, inputs, lhs, rhs, guard): inputs maps names to raw stacks,
-    serialized only on failure; lhs and rhs are rows of the batch; a guard
-    (i, j) compares lhs with rhs only where f(i) = f(j); a failed guard
-    counts a zero discrepancy. Each kind keeps at most MAX_COUNTEREXAMPLES
-    counterexamples per cost, in (dim, trial, sub-check) order.
+    The family draws a chunk's stacks from its trials' streams, stages
+    each stack it scores into the chunk's batch (sized by _TRIALS), and
+    yields (sub_name, inputs, lhs, rhs, guard): inputs maps names to raw
+    stacks, serialized only on failure; lhs and rhs are rows of the batch;
+    a guard (i, j) compares lhs with rhs only where f(i) = f(j), and a
+    failed guard counts a zero discrepancy. Each check keeps at most
+    MAX_COUNTEREXAMPLES counterexamples per cost, in (dim, trial,
+    sub-check) order.
     """
-    per_trial = sum(_TRIALS[name][1] for name in names)
+    family, per_trial = _TRIALS["family"]
+    names = (*names, "surjectivity")
+    kinds = {sub_name: k for k, name in enumerate(names) for sub_name in _CHECKS[name]}
     totals = [dict() for _ in costs]
     examples = [[[] for _ in names] for _ in costs]
     for dim in cfg.dims:
@@ -225,7 +227,7 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
         for first in range(0, cfg.trials, step):
             trials = range(first, min(first + step, cfg.trials))
             m = len(trials)
-            rngs = _trial_rngs(cfg.master_seed, names, dim, trials)
+            rngs = _trial_rngs(cfg.master_seed, dim, trials)
             batch = np.empty((per_trial * m, dim, dim))
             rows = iter(range(0, len(batch), m))
 
@@ -234,9 +236,9 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                 batch[row:row + m] = stack
                 return slice(row, row + m)
 
-            subs = [(k, sub) for k, name in enumerate(names)
-                    for sub in _TRIALS[name][0](dim, rngs[k * m:(k + 1) * m], stage)]
-            del rngs  # spent Generators, 0.4 MB at 500 trials, freed before the gate
+            # Every stack is staged; only the named checks' sub-checks are scored.
+            subs = [(kinds[sub[0]], sub) for sub in family(dim, rngs, stage) if sub[0] in kinds]
+            del rngs  # spent Generators, freed before the gate
             log_dets = gate_pd(batch)  # SymPosDefMatrix's gate, and its Cholesky's log-dets
             for slot, f in enumerate(costs):
                 values = f.values(batch, log_dets)
@@ -256,9 +258,15 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                             examples[slot][k].append(Counterexample(
                                 sub_name, dim, trials[t],
                                 {key: format_matrix(stack[t]) for key, stack in inputs.items()}))
-    return [InvarianceReport(f.name, tuple(CheckResult(name, *t) for name, t in total.items()),
-                             tuple(e for kind in found for e in kind))
-            for f, total, found in zip(costs, totals, examples)]
+    reports = []
+    for f, total, found in zip(costs, totals, examples):
+        *checks, probe = (CheckResult(sub_name, *total[sub_name])
+                          for name in names for sub_name in _CHECKS[name])
+        fraction = (probe.trials_run - probe.failures) / probe.trials_run
+        reports.append(InvarianceReport(
+            f.name, tuple(checks), tuple(e for kind in found[:-1] for e in kind),
+            SurjectivityReport(f.name, fraction, probe.trials_run, tuple(found[-1]))))
+    return reports
 
 
 def _solved_scalars(M) -> np.ndarray:
@@ -272,66 +280,48 @@ def _gram(A) -> np.ndarray:
     return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
-def _orthogonal_trial(n, rngs, stage):
-    A = random_gl_stack(n, rngs)
-    Q = random_orthogonal_stack(n, rngs)
-    gram = _gram(A)
-    yield "orthogonal", {"A": A, "Q": Q}, stage(gram), stage(congruence_stack(gram, Q)), None
-
-
-def _commutator_trial(n, rngs, stage):
-    A = random_gl_stack(n, rngs)
-    B = random_gl_stack(n, rngs)
-    lhs = stage(congruence_stack(_gram(B), A))
-    yield "commutator", {"A": A, "B": B}, lhs, stage(congruence_stack(_gram(A), B)), None
-
-
-def _svd_collapse_trial(n, rngs, stage):
-    A = random_gl_stack(n, rngs)
-    B = random_gl_stack(n, rngs)
-    full = stage(congruence_stack(_gram(B), A))
-    # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
-    core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
-    yield "svd_collapse", {"A": A, "B": B}, full, stage(core[:, :, None] * np.eye(n)), None
-
-
-def _implication_trial(n, rngs, stage):
+def _trial_family(n, rngs, stage):
+    # One draw of each matrix per trial stream, in this order.
     M = random_pd_stack(n, rngs)
-    at_m = stage(M)
-    N = congruence_stack(M, random_gl_stack(n, rngs, unit_det=True))
-    at_n = stage(N)
+    S = random_gl_stack(n, rngs, unit_det=True)
     A = random_gl_stack(n, rngs)
+    B = random_gl_stack(n, rngs)
+    Q = random_orthogonal_stack(n, rngs)
+    N = congruence_stack(M, S)
+    at_m, at_n = stage(M), stage(N)
     lhs, at_na = stage(congruence_stack(M, A)), stage(congruence_stack(N, A))
     # Equal-value pairs are constructed, not searched: N is the
     # SL-congruence when that preserves the value (always, for factoring
     # costs), and where it does not, the guard counts the trial as exact
     # agreement; rejection sampling on equality of reals would never terminate.
     yield "implication", {"M": M, "N": N, "A": A}, lhs, at_na, (at_m, at_n)
-
-
-def _det_factorization_trial(n, rngs, stage):
-    M = random_pd_stack(n, rngs)
-    at_m = stage(M)
-    S = random_gl_stack(n, rngs, unit_det=True)
-    conjugated = stage(congruence_stack(M, S))
+    gram_a = _gram(A)
+    gram = stage(gram_a)
+    yield "orthogonal", {"A": A, "Q": Q}, gram, stage(congruence_stack(gram_a, Q)), None
+    full = stage(congruence_stack(_gram(B), A))
+    yield "commutator", {"A": A, "B": B}, full, stage(congruence_stack(gram_a, B)), None
+    # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
+    core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
+    yield "svd_collapse", {"A": A, "B": B}, full, stage(core[:, :, None] * np.eye(n)), None
+    yield "sl_conjugation", {"M": M, "S": S}, at_n, at_m, None
     scalar = _solved_scalars(M)
-    yield "sl_conjugation", {"M": M, "S": S}, conjugated, at_m, None
-    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, stage(scalar), None
+    at_scalar = stage(scalar)
+    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, at_scalar, None
+    yield "surjectivity", {"M": M}, at_m, at_scalar, None
 
 
-def _surjectivity_trial(n, rngs, stage):
-    M = random_pd_stack(n, rngs)
-    yield "surjectivity", {"M": M}, stage(M), stage(_solved_scalars(M)), None
+# The one trial kind, and the stacks it stages per trial: the batch's size.
+_TRIALS = {"family": (_trial_family, 10)}
 
-
-# Each trial kind, and the stacks it stages per trial: the batch's size.
-_TRIALS = {
-    "implication": (_implication_trial, 4),
-    "orthogonal": (_orthogonal_trial, 2),
-    "commutator": (_commutator_trial, 2),
-    "svd_collapse": (_svd_collapse_trial, 2),
-    "det_factorization": (_det_factorization_trial, 3),
-    "surjectivity": (_surjectivity_trial, 2),
+# The family's sub-checks each check reports, in report order; the probe
+# reads scalar_collapse's rows under its own name.
+_CHECKS = {
+    "implication": ("implication",),
+    "orthogonal": ("orthogonal",),
+    "commutator": ("commutator",),
+    "svd_collapse": ("svd_collapse",),
+    "det_factorization": ("sl_conjugation", "scalar_collapse"),
+    "surjectivity": ("surjectivity",),
 }
 
 
@@ -348,6 +338,9 @@ def check(f: CostFunction, cfg: TrialConfig, name: str) -> InvarianceReport:
       the value fixed (sl_conjugation), and the value agrees with the
       scalar matrix s*I of equal determinant, s = exp(log_det(M)/n)
       (scalar_collapse).
+
+    The trial family is drawn whole, so each sub-check reports the rows it
+    reports in run_all_checks.
     """
     if name not in ALL_CHECKS:
         raise ValueError(f"unknown check {name!r}; expected one of {', '.join(ALL_CHECKS)}")
@@ -355,27 +348,22 @@ def check(f: CostFunction, cfg: TrialConfig, name: str) -> InvarianceReport:
 
 
 def check_det_factorization(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """check(f, cfg, "det_factorization"), the precondition of kernel
-    estimation."""
+    """check(f, cfg, "det_factorization"), whose report's probe completes
+    the precondition of kernel estimation."""
     return check(f, cfg, "det_factorization")
 
 
 def probe_scalar_surjectivity(f: CostFunction, cfg: TrialConfig) -> SurjectivityReport:
     """Fraction of random samples M whose value f(M) equals f(s*I) at
-    the solved scalar s = exp(log_det(M)/n).
+    the solved scalar s = exp(log_det(M)/n): scalar_collapse's rows.
 
-    The solved scalar is the only candidate tried. A cost that factors
-    through the determinant takes equal values on matrices of equal
-    determinant, so this s covers every M and no other candidate could
-    add coverage; that is the surjectivity on scalar matrices the
-    factoring theorem uses. A cost matched only by some other scalar (the
-    trace, at s = tr(M)/n) counts as uncovered, since its witness does
-    not come from the determinant.
+    A cost that factors through the determinant takes equal values on
+    matrices of equal determinant, so this s covers every M; that is the
+    surjectivity on scalar matrices the factoring theorem uses. A cost
+    matched only by some other scalar (the trace, at s = tr(M)/n) counts
+    as uncovered, since its witness does not come from the determinant.
     """
-    report = _run_checks([f], cfg, ("surjectivity",))[0]
-    (result,) = report.checks
-    fraction = (result.trials_run - result.failures) / result.trials_run
-    return SurjectivityReport(f.name, fraction, result.trials_run, report.counterexamples)
+    return _run_checks([f], cfg, ())[0].probe
 
 
 def _scalar_values(f: CostFunction, log2_t: np.ndarray) -> CostValues:
@@ -505,6 +493,5 @@ def run_all_checks(costs, cfg: TrialConfig) -> list:
 
 
 def run_invariance_suite(f: CostFunction, cfg: TrialConfig) -> SuiteReport:
-    merged = run_all_checks([f], cfg)[0]
-    probe = probe_scalar_surjectivity(f, cfg)
-    return SuiteReport(f.name, merged, probe)
+    report = run_all_checks([f], cfg)[0]
+    return SuiteReport(f.name, report, report.probe)

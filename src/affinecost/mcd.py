@@ -126,11 +126,17 @@ def _covariance_stack(points: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
     Points are finite, so a non-finite covariance can only come from
     float64 overflow; that raises ValueError instead of a numpy warning.
+    Each centered matrix starts on a 16-byte boundary (np.empty's buffer
+    is malloc's, and its rows have an even length), so that OpenBLAS's SSE
+    kernels (Prescott), whose summation order follows the operand's
+    alignment, give a covariance the same bits in any stack.
     """
     rows = points[subsets]
+    m, h, n = rows.shape
+    centered = np.empty((m, h * n + h * n % 2))[:, :h * n].reshape(m, h, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        cov = centered.transpose(0, 2, 1) @ centered / subsets.shape[1]
+        np.subtract(rows, rows.mean(axis=1, keepdims=True), out=centered)
+        cov = centered.transpose(0, 2, 1) @ centered / h
         stack = (cov + cov.transpose(0, 2, 1)) / 2.0
     if not np.isfinite(stack).all():
         raise ValueError("subset covariance overflows float64; matrix entries must be finite")

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +253,25 @@ class TestDecomposeCommand:
         code = main(["decompose", "--input", str(path), "--format", "json"])
         assert code == EXIT_PASS
         assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_huge_entries_give_a_finite_residual(self, tmp_path, capsys, fmt):
+        # Squaring 1e155 overflows float64; the residual's norms must not.
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1 1e155\n0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["decompose", "--input", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == EXIT_PASS
+        if fmt == "json":
+            assert captured.err == ""
+            residual = json.loads(captured.out)["residual"]
+        else:
+            assert captured.out == "E 1 2 1e+155\n"
+            assert captured.err.count("\n") == 1
+            residual = float(captured.err.split()[-1])
+        assert math.isfinite(residual) and residual <= 1e-8
 
     def test_det_gate_violation(self, tmp_path, capsys):
         path = tmp_path / "two.txt"

@@ -8,6 +8,10 @@ The MCD cases read mcd_points.csv: 13 points in the plane with four
 duplicated points (exact ties), seven points on one line (21 degenerate
 5-subsets) and C(13, 5) = 1287 subsets, so tied subsets lie more than
 256 subsets apart in lexicographic order.
+
+The reports' last bits depend on the CPU dispatch of OpenBLAS and numpy,
+so tests/conftest.py pins one before numpy loads; these tests fail in one
+line when it could not.
 """
 
 from pathlib import Path
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from affinecost.cli import main
+from conftest import PIN_TOOK
 
 GOLDEN = Path(__file__).parent / "golden"
 FLAGS = ["--format", "json", "--dims", "1..3", "--trials", "20", "--seed", "0"]
@@ -33,5 +38,8 @@ CASES = [
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_report_matches_golden(name, argv, capsys):
+    if not PIN_TOOK:
+        pytest.fail("numpy was imported before tests/conftest.py pinned the CPU dispatch "
+                    "the goldens were written under", pytrace=False)
     main(argv)
     assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -266,6 +266,105 @@ class TestReports:
         assert body["surjectivity"]["covered_fraction"] == 0.0
 
 
+
+# A scalar cost that is not congruence invariant: f(M) = f(N) holds on
+# many SL-congruent pairs, and fails after a GL congruence, so even the
+# implication check finds counterexamples.
+CORNER_COST = CostFunction("corner", "corner",
+                           lambda stack, log_dets: (stack[:, 0, 0] > 1.0).astype(float))
+
+SUB_CHECKS = {
+    "implication": ["implication"],
+    "orthogonal": ["orthogonal"],
+    "commutator": ["commutator"],
+    "svd_collapse": ["svd_collapse"],
+    "det_factorization": ["sl_conjugation", "scalar_collapse"],
+}
+
+
+class TestTrialFamily:
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    def test_check_reports_only_its_sub_checks(self, name):
+        cfg = TrialConfig(dims=(2, 3), trials=20, master_seed=5)
+        for f in (CORNER_COST, IDENTITY_COST):
+            report = check(f, cfg, name)
+            assert [c.name for c in report.checks] == SUB_CHECKS[name]
+            assert {e.check_name for e in report.counterexamples} <= set(SUB_CHECKS[name])
+        assert check(CORNER_COST, cfg, name).counterexamples
+
+    @pytest.mark.parametrize("seed", [0, 41, 12345])
+    def test_probe_is_scalar_collapse(self, seed):
+        cfg = TrialConfig(dims=(1, 2, 3), trials=30, master_seed=seed)
+        for f in (DET_COST, QDET_HALF, TRACE_COST, IDENTITY_COST):
+            scalar = {c.name: c for c in check(f, cfg, "det_factorization").checks}
+            probe = probe_scalar_surjectivity(f, cfg)
+            assert probe.as_dict()["uncovered_count"] == scalar["scalar_collapse"].failures
+            assert probe.samples == scalar["scalar_collapse"].trials_run
+            suite = run_invariance_suite(f, cfg)
+            assert suite.surjectivity == probe
+            assert suite.report == run_all_checks([f], cfg)[0]
+
+    def test_sub_checks_share_the_trial_family(self):
+        # One stream per trial: the matrices a trial's sub-checks name are
+        # the same draws.
+        cfg = TrialConfig(dims=(2, 3), trials=10, master_seed=7)
+        suite = run_invariance_suite(IDENTITY_COST, cfg)
+        by_trial = {}
+        for example in suite.report.counterexamples + suite.surjectivity.uncovered:
+            by_trial.setdefault((example.dim, example.trial), {})[example.check_name] = (
+                example.inputs)
+        shared = 0
+        for found in by_trial.values():
+            for first, second, key in [("orthogonal", "commutator", "A"),
+                                       ("commutator", "svd_collapse", "A"),
+                                       ("commutator", "svd_collapse", "B"),
+                                       ("sl_conjugation", "scalar_collapse", "M"),
+                                       ("scalar_collapse", "surjectivity", "M")]:
+                if first in found and second in found:
+                    assert found[first][key] == found[second][key]
+                    shared += 1
+        assert shared >= 10
+
+    def test_counterexample_inputs_keep_their_keys(self):
+        cfg = TrialConfig(dims=(2, 3), trials=20, master_seed=9)
+        keys = {}
+        for f in (CORNER_COST, IDENTITY_COST):
+            suite = run_invariance_suite(f, cfg)
+            for example in suite.report.counterexamples + suite.surjectivity.uncovered:
+                keys.setdefault(example.check_name, set()).add(tuple(sorted(example.inputs)))
+        assert keys == {
+            "implication": {("A", "M", "N")},
+            "orthogonal": {("A", "Q")},
+            "commutator": {("A", "B")},
+            "svd_collapse": {("A", "B")},
+            "sl_conjugation": {("M", "S")},
+            "scalar_collapse": {("M", "sI")},
+            "surjectivity": {("M",)},
+        }
+
+    def test_suite_and_kernel_gate_once_per_chunk(self, monkeypatch, capsys):
+        from affinecost.cli import main
+
+        calls = []
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return gate(stack)
+
+        gate = harness.gate_pd
+        monkeypatch.setattr(harness, "gate_pd", counted)
+        # At n = 64 the family's 10 stacks fill a chunk with one trial, so
+        # dims (1, 2, 64) at 3 trials make 1 + 1 + 3 chunks.
+        cfg = TrialConfig(dims=(1, 2, 64), trials=3, master_seed=2)
+        assert run_invariance_suite(QDET_HALF, cfg).verdict == "pass"
+        assert len(calls) == 5
+        calls.clear()
+        argv = ["kernel", "--cost", "qdet:0.5", "--dims", "1,2,64", "--trials", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "Lattice a=0.500000\n"
+        assert len(calls) == 5
+
+
 STACK_DIMS = (1, 2, 3, 4, 5, 6, 8, 16, 64)
 SELECTORS = ("det", "qdet:0.5", "qdet:1", "qdet:2", "trace", "identity")
 
@@ -283,16 +382,16 @@ class TestStackedEvaluation:
             (random_orthogonal, random_orthogonal_stack),
         ]
         for one, stacked in samplers:
-            stack = stacked(n, _trial_rngs(5, ("parity",), n, range(7)))
+            stack = stacked(n, _trial_rngs(5, n, range(7)))
             for t in range(7):
-                single = one(n, _trial_rngs(5, ("parity",), n, (t,))[0]).entries
+                single = one(n, _trial_rngs(5, n, (t,))[0]).entries
                 assert single.tobytes() == stack[t].tobytes()
-        ms = random_pd_stack(n, _trial_rngs(6, ("parity",), n, range(7)))
-        gs = random_gl_stack(n, _trial_rngs(7, ("parity",), n, range(7)))
+        ms = random_pd_stack(n, _trial_rngs(6, n, range(7)))
+        gs = random_gl_stack(n, _trial_rngs(7, n, range(7)))
         stack = congruence_stack(ms, gs)
         for t in range(7):
-            single = congruence(random_pd(n, _trial_rngs(6, ("parity",), n, (t,))[0]),
-                                random_gl(n, _trial_rngs(7, ("parity",), n, (t,))[0]))
+            single = congruence(random_pd(n, _trial_rngs(6, n, (t,))[0]),
+                                random_gl(n, _trial_rngs(7, n, (t,))[0]))
             assert single.entries.tobytes() == stack[t].tobytes()
 
     def test_reports_do_not_depend_on_chunking(self, monkeypatch):
@@ -359,23 +458,26 @@ class TestStackedEvaluation:
         assert calls == {"gate": 3, "seed": 3, "values": 3 * len(costs)}
         assert [r.verdict for r in reports] == ["pass", "pass", "fail"]
 
-    @pytest.mark.parametrize("name", sorted(harness._TRIALS))
+    @pytest.mark.parametrize("name", sorted(harness._CHECKS))
     def test_kinds_stage_the_stacks_they_declare(self, name):
-        # The chunk size counts on each kind's declared stacks per trial.
-        trial_fn, per_trial = harness._TRIALS[name]
+        # Every check kind reads the one trial family: the chunk size counts
+        # on the family's declared stacks per trial, and the family yields
+        # every sub-check the kind reports.
+        ((family, per_trial),) = harness._TRIALS.values()
         staged = []
 
         def stage(stack):
             staged.append(stack.shape)
             return slice(0, 0)
 
-        list(trial_fn(3, _trial_rngs(1, (name,), 3, range(5)), stage))
+        yielded = [sub[0] for sub in family(3, _trial_rngs(1, 3, range(5)), stage)]
         assert staged == [(5, 3, 3)] * per_trial
+        assert set(harness._CHECKS[name]) <= set(yielded)
 
 
-def blake2b_key(master_seed, check_name, dim, trial) -> int:
+def blake2b_key(master_seed, dim, trial) -> int:
     # A trial's 64-bit key, written out independently of the harness.
-    text = f"{master_seed}|{check_name}|{dim}|{trial}".encode()
+    text = f"{master_seed}|{dim}|{trial}".encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
@@ -384,9 +486,8 @@ EDGE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 class TestTrialSeeding:
     def test_states_match_seed_sequence(self):
-        keys = [blake2b_key(seed, name, dim, trial)
-                for seed in (0, 41, 12345) for name in ALL_CHECKS + ("surjectivity",)
-                for dim in (1, 2, 3, 4, 5, 6) for trial in range(100)]
+        keys = [blake2b_key(seed, dim, trial)
+                for seed in (0, 41, 12345) for dim in range(1, 65) for trial in range(60)]
         assert len(keys) >= 10_000
         # Keys below 2**32 have one 32-bit word; they share the batch with
         # keys of two.
@@ -411,30 +512,19 @@ class TestTrialSeeding:
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.standard_normal(9).tobytes() == reference.standard_normal(9).tobytes()
 
-    @pytest.mark.parametrize("seed, name, dim", [(0, "implication", 1), (41, "svd_collapse", 6),
-                                                 (12345, "parity", 64)])
-    def test_generators_match_default_rng(self, seed, name, dim):
-        for trial, rng in enumerate(_trial_rngs(seed, (name,), dim, range(40))):
-            reference = np.random.default_rng(blake2b_key(seed, name, dim, trial))
+    @pytest.mark.parametrize("seed, dim", [(0, 1), (41, 6), (12345, 64)])
+    def test_generators_match_default_rng(self, seed, dim):
+        for trial, rng in enumerate(_trial_rngs(seed, dim, range(40))):
+            reference = np.random.default_rng(blake2b_key(seed, dim, trial))
             assert rng.bit_generator.state == reference.bit_generator.state
             for draw in (lambda g: g.standard_normal(9), lambda g: g.uniform(-1.7, 1.7, 5),
                          lambda g: g.random(3)):
                 assert draw(rng).tobytes() == draw(reference).tobytes()
 
-    def test_kinds_are_seeded_kind_major(self):
-        # One batch over several kinds holds each kind's own streams, in
-        # the order the kinds are named.
-        names = ("implication", "det_factorization", "surjectivity")
-        batch = _trial_rngs(3, names, 4, range(2, 9))
-        singles = [rng for name in names for rng in _trial_rngs(3, (name,), 4, range(2, 9))]
-        assert len(batch) == len(singles) == 21
-        for rng, single in zip(batch, singles):
-            assert rng.bit_generator.state == single.bit_generator.state
-
     def test_chunk_matches_one_by_one(self):
-        chunk = _trial_rngs(7, ("orthogonal",), 3, range(5, 40))
+        chunk = _trial_rngs(7, 3, range(5, 40))
         for trial, rng in zip(range(5, 40), chunk):
-            single = _trial_rngs(7, ("orthogonal",), 3, (trial,))[0]
+            single = _trial_rngs(7, 3, (trial,))[0]
             assert rng.bit_generator.state == single.bit_generator.state
             assert rng.standard_normal(4).tobytes() == single.standard_normal(4).tobytes()
 
@@ -456,7 +546,8 @@ class TestTrialSeeding:
         cfg = TrialConfig(dims=(1, 2, 3, 4, 5, 6), trials=100, master_seed=2026)
         reports = run_all_checks([DET_COST, QDET_HALF, QDET_ONE, QDET_TWO], cfg)
         assert all(r.verdict == "pass" for r in reports)
-        assert len(built) == len(ALL_CHECKS) * 6 * 100
+        # One stream per trial, shared by every check.
+        assert len(built) == 6 * 100
 
     def test_commands_that_draw_nothing_leave_numpy_random_unloaded(self, tmp_path):
         # The seeding module and numpy.random load on the first draw only.

@@ -39,3 +39,20 @@ def test_mcd_equivariance_demo_prints_one_row_per_cost():
     assert _first_fields(proc.stdout)[1:] == ["det:", "qdet:1:", "trace:"]
     # The determinant cost is affine equivariant, so its argmin survives.
     assert lines[1].endswith("preserved in 3/3 trials")
+
+
+def test_compare_goldens_tells_floats_from_other_changes(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.json").write_text('{"n": 3, "worst": 1.5e-12, "inputs": {"M": "1\\n2.5\\n"}}')
+    (new / "a.json").write_text('{"n": 3, "worst": 2.5e-12, "inputs": {"M": "1\\n2.25\\n"}}')
+    (old / "b.txt").write_text("subset 0 1\ncost 1.0\n")
+    (new / "b.txt").write_text("subset 0 1\ncost 1.0\n")
+    proc = _run_script("compare_goldens.py", str(old), str(new))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.splitlines() == ["a.json: floats only, 2 moved", "b.txt: same"]
+    (new / "b.txt").write_text("subset 0 2\ncost 1.0\n")
+    proc = _run_script("compare_goldens.py", str(old), str(new))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1] == "b.txt: NOT ONLY FLOATS: text: '1', then '2'"
