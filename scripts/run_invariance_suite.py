@@ -32,13 +32,13 @@ def main() -> None:
     for selector in SELECTORS:
         cost = cost_from_selector(selector)
         started = time.perf_counter()
-        suite = run_invariance_suite(cost, cfg)
+        report = run_invariance_suite(cost, cfg)
         elapsed = time.perf_counter() - started
         fails = ", ".join(
-            f"{c.name}={c.failures}" for c in suite.report.checks if c.failures
+            f"{c.name}={c.failures}" for c in report.checks if c.failures
         ) or "none"
-        print(f"{selector:>10} {suite.verdict:>8} "
-              f"{suite.surjectivity.covered_fraction:>9.3f}  {fails}  ({elapsed:.1f}s)")
+        print(f"{selector:>10} {report.verdict:>8} "
+              f"{report.probe.covered_fraction:>9.3f}  {fails}  ({elapsed:.1f}s)")
 
 
 if __name__ == "__main__":

@@ -56,6 +56,11 @@ QUANT_BOUNDARY_SNAP = 1e-5
 # boundary snap cannot hide the fold at f(1/16), which needs a >= 4e5.
 LATTICE_A_MAX = 1024.0
 
+# And at or above this, float64's epsilon: the fold reduces log2 dets
+# modulo a, and a smaller constant is below their rounding error at
+# |d| = 1 (d / a overflows for the smallest).
+LATTICE_A_MIN = 2.0**-52
+
 _LN2 = math.log(2.0)
 
 # The log-dets whose exp is a positive normal float64: libm's exp maps
@@ -129,7 +134,8 @@ def values_match(u: CostValues, v: CostValues, rel_tol: float = COST_REL_TOL) ->
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel of the determinant-value homomorphism: trivial, or the
-    multiplicative lattice generated by 2**a, 0 < a < LATTICE_A_MAX."""
+    multiplicative lattice generated by 2**a, LATTICE_A_MIN <= a <
+    LATTICE_A_MAX."""
 
     variant: str
     a: Optional[float] = None
@@ -138,10 +144,10 @@ class KernelSpec:
         if self.variant not in (TRIVIAL, LATTICE):
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == LATTICE:
-            if self.a is None or not 0.0 < self.a < LATTICE_A_MAX:
+            if self.a is None or not LATTICE_A_MIN <= self.a < LATTICE_A_MAX:
                 raise ValueError(
-                    f"lattice kernel requires a > 0 and a < {LATTICE_A_MAX:g}, got "
-                    f"{self.a!r}; use the trivial kernel for a = 0"
+                    f"lattice kernel requires a > 0 (at least {LATTICE_A_MIN:.3g}) and "
+                    f"a < {LATTICE_A_MAX:g}, got {self.a!r}; use the trivial kernel for a = 0"
                 )
         elif self.a is not None:
             raise ValueError("trivial kernel takes no lattice constant")
@@ -207,9 +213,9 @@ def fold_log2_dets(d: np.ndarray, a: float) -> tuple:
     returns (k, canonical), arrays with k[i] the integer (as a float)
     putting 2**(a*k[i] + d[i]) in the interval.
 
-    0 < a < LATTICE_A_MAX, as KernelSpec enforces. Values of d/a within
-    QUANT_BOUNDARY_SNAP of an integer snap to it, so determinants sitting
-    on a lattice point fold to the lower edge 1.
+    LATTICE_A_MIN <= a < LATTICE_A_MAX, as KernelSpec enforces. Values of
+    d/a within QUANT_BOUNDARY_SNAP of an integer snap to it, so
+    determinants sitting on a lattice point fold to the lower edge 1.
     """
     r = d / a
     nearest = np.round(r)

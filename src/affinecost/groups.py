@@ -87,9 +87,6 @@ class CommutatorPair:
     a_factor: InvertibleMatrix
     b_factor: InvertibleMatrix
 
-    def realize(self) -> InvertibleMatrix:
-        return commutator(self.a_factor, self.b_factor)
-
 
 def elementary_as_commutator(n: int, row: int, col: int, scale: float) -> CommutatorPair:
     """Witness pair (A, B) with [A, B] = E(row, col, scale).
@@ -131,7 +128,9 @@ def decompose_sl(A: InvertibleMatrix) -> list:
     pivot exists (input numerically singular).
     """
     n = A.n
-    det = float(np.linalg.det(A.entries))
+    # A determinant past float64's range fails the gate as inf.
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(A.entries))
     if abs(det - 1.0) > SL_DET_TOL:
         raise ValueError(f"determinant gate failed: det = {det!r}, expected 1")
     w = A.entries.copy()

@@ -4,24 +4,25 @@ Five identity checks (the defining implication, orthogonal conjugation,
 the commutator equality, the SVD collapse, and determinant factorization),
 a scalar surjectivity probe, and kernel estimation. check(f, cfg, name)
 runs one identity check, named as in ALL_CHECKS, for one cost, and
-run_all_checks runs all five for several costs over shared samples.
-Each trial draws one family, M (PD), S (SL), A and B (GL) and Q
-(orthogonal), from one stream: np.random.default_rng of the 64-bit blake2b
-key of (master seed, dim, trial). So a report is a deterministic function
-of its TrialConfig, and a check's rows do not depend on the checks run
-beside it. The family's 10 stacks serve all six sub-checks, and the probe
-(f(M) against f(s*I) at s*I of equal determinant) is a view of
-scalar_collapse's rows, so run_invariance_suite makes one pass. The
-runner makes one pass per dimension, in chunks of trials: a chunk seeds
-its streams in one rng.default_rngs batch, bit for bit those streams,
-and draws them as (trials, n, n) stacks. The chunk's stacks, at most
-CHUNK_ENTRIES entries, pass gate_pd (SymPosDefMatrix's gate, the only
-one: the samplers' draws and grams are valid by construction) in one
-call, and each cost scores them in one values call; a matrix has the same
-bits in any stack, so neither batching nor chunking changes a report.
-Failures are data, not errors: each sub-check's fail mask is counted, and
-only failing trials are serialized as counterexamples. Kernel estimation
-reads the cost's value map on log-determinants and builds no matrix.
+run_all_checks runs all five for several costs over shared samples. Each
+trial draws one family, M (PD), S (SL), A and B (GL) and Q (orthogonal),
+from one stream: np.random.default_rng of the 64-bit blake2b key of
+(master seed, dim, trial). So a report is a deterministic function of its
+TrialConfig, and a check's rows do not depend on the checks run beside it.
+The family's 10 stacks serve all six sub-checks, and the probe (f(M)
+against f(s*I) at s*I of equal determinant) is a view of scalar_collapse's
+rows on every report, so run_invariance_suite returns run_all_checks'
+report. The runner makes one pass per dimension, in chunks of trials: a
+chunk seeds its streams in one rng.default_rngs batch, bit for bit those
+streams, and draws them as (trials, n, n) stacks. The chunk's stacks, at
+most CHUNK_ENTRIES entries, pass gate_pd (SymPosDefMatrix's gate, the only
+one: the samplers' draws and grams are valid by construction) in one call,
+and each cost scores them in one values call; a matrix has the same bits
+in any stack, so neither batching nor chunking changes a report. Failures
+are data, not errors: each sub-check's fail mask is counted, and only
+failing trials are kept as counterexamples, whose matrices are written out
+only when a report is (as_dict). Kernel estimation reads the cost's value
+map on log-determinants and builds no matrix.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ class TrialConfig:
         object.__setattr__(self, "dims", dims)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol!r}")
+        # At 1 every scalar comparison passes: |u - v| <= max(1, |u|, |v|)
+        # for nonnegative values.
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ValueError(
+                f"rel_tol must be finite and positive, and below 1, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,11 @@ class CheckResult:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counterexample:
+    """A failing trial; inputs maps names to the trial's matrices, which
+    as_dict writes in the matrix text format."""
+
     check_name: str
     dim: int
     trial: int
@@ -118,7 +125,7 @@ class Counterexample:
             "check": self.check_name,
             "dim": self.dim,
             "trial": self.trial,
-            "inputs": dict(self.inputs),
+            "inputs": {key: format_matrix(matrix) for key, matrix in self.inputs.items()},
         }
 
 
@@ -126,12 +133,13 @@ class Counterexample:
 class InvarianceReport:
     """Aggregate of one or more checks; verdict passes only with zero
     failures everywhere. probe is the surjectivity probe over the same
-    samples, which every pass scores and as_dict leaves out."""
+    samples, which every pass scores and as_dict leaves out; it fails
+    exactly where scalar_collapse does."""
 
     cost_name: str
     checks: tuple
     counterexamples: tuple
-    probe: Optional[SurjectivityReport] = None
+    probe: SurjectivityReport
 
     @property
     def verdict(self) -> str:
@@ -209,26 +217,25 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
     per cost, its checks and counterexamples in names order.
 
     The family draws a chunk's stacks from its trials' streams, stages
-    each stack it scores into the chunk's batch (sized by _TRIALS), and
-    yields (sub_name, inputs, lhs, rhs, guard): inputs maps names to raw
-    stacks, serialized only on failure; lhs and rhs are rows of the batch;
-    a guard (i, j) compares lhs with rhs only where f(i) = f(j), and a
-    failed guard counts a zero discrepancy. Each check keeps at most
+    each stack it scores into the chunk's batch (FAMILY_STACKS per trial),
+    and yields (sub_name, inputs, lhs, rhs, guard): inputs maps names to
+    raw stacks, whose rows a failing trial keeps; lhs and rhs are rows of
+    the batch; a guard (i, j) compares lhs with rhs only where f(i) = f(j),
+    and a failed guard counts a zero discrepancy. Each check keeps at most
     MAX_COUNTEREXAMPLES counterexamples per cost, in (dim, trial,
     sub-check) order.
     """
-    family, per_trial = _TRIALS["family"]
     names = (*names, "surjectivity")
     kinds = {sub_name: k for k, name in enumerate(names) for sub_name in _CHECKS[name]}
     totals = [dict() for _ in costs]
     examples = [[[] for _ in names] for _ in costs]
     for dim in cfg.dims:
-        step = max(1, CHUNK_ENTRIES // (dim**2 * per_trial))
+        step = max(1, CHUNK_ENTRIES // (dim**2 * FAMILY_STACKS))
         for first in range(0, cfg.trials, step):
             trials = range(first, min(first + step, cfg.trials))
             m = len(trials)
             rngs = _trial_rngs(cfg.master_seed, dim, trials)
-            batch = np.empty((per_trial * m, dim, dim))
+            batch = np.empty((FAMILY_STACKS * m, dim, dim))
             rows = iter(range(0, len(batch), m))
 
             def stage(stack) -> slice:
@@ -237,7 +244,8 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                 return slice(row, row + m)
 
             # Every stack is staged; only the named checks' sub-checks are scored.
-            subs = [(kinds[sub[0]], sub) for sub in family(dim, rngs, stage) if sub[0] in kinds]
+            subs = [(kinds[sub[0]], sub) for sub in _trial_family(dim, rngs, stage)
+                    if sub[0] in kinds]
             del rngs  # spent Generators, freed before the gate
             log_dets = gate_pd(batch)  # SymPosDefMatrix's gate, and its Cholesky's log-dets
             for slot, f in enumerate(costs):
@@ -257,7 +265,7 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
                         if mask[t] and len(examples[slot][k]) < MAX_COUNTEREXAMPLES:
                             examples[slot][k].append(Counterexample(
                                 sub_name, dim, trials[t],
-                                {key: format_matrix(stack[t]) for key, stack in inputs.items()}))
+                                {key: stack[t].copy() for key, stack in inputs.items()}))
     reports = []
     for f, total, found in zip(costs, totals, examples):
         *checks, probe = (CheckResult(sub_name, *total[sub_name])
@@ -310,8 +318,8 @@ def _trial_family(n, rngs, stage):
     yield "surjectivity", {"M": M}, at_m, at_scalar, None
 
 
-# The one trial kind, and the stacks it stages per trial: the batch's size.
-_TRIALS = {"family": (_trial_family, 10)}
+# The stacks _trial_family stages per trial: the batch's size.
+FAMILY_STACKS = 10
 
 # The family's sub-checks each check reports, in report order; the probe
 # reads scalar_collapse's rows under its own name.
@@ -348,8 +356,9 @@ def check(f: CostFunction, cfg: TrialConfig, name: str) -> InvarianceReport:
 
 
 def check_det_factorization(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
-    """check(f, cfg, "det_factorization"), whose report's probe completes
-    the precondition of kernel estimation."""
+    """check(f, cfg, "det_factorization"), the precondition of kernel
+    estimation: its scalar_collapse rows are the probe's, so a pass also
+    covers every sample by a scalar matrix."""
     return check(f, cfg, "det_factorization")
 
 
@@ -464,27 +473,6 @@ def estimate_kernel(f: CostFunction, cfg: TrialConfig) -> KernelEstimate:
     return KernelEstimate("lattice", a_estimate, len(merged))
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """All five identity checks plus the surjectivity probe."""
-
-    cost_name: str
-    report: InvarianceReport
-    surjectivity: SurjectivityReport
-
-    @property
-    def verdict(self) -> str:
-        checks_pass = self.report.verdict == "pass"
-        probe_pass = self.surjectivity.covered_fraction == 1.0
-        return "pass" if checks_pass and probe_pass else "fail"
-
-    def as_dict(self) -> dict:
-        body = self.report.as_dict()
-        body["surjectivity"] = self.surjectivity.as_dict()
-        body["verdict"] = self.verdict
-        return body
-
-
 def run_all_checks(costs, cfg: TrialConfig) -> list:
     """All five identity checks for several costs over shared samples;
     returns one merged InvarianceReport per cost, identical to what
@@ -492,6 +480,7 @@ def run_all_checks(costs, cfg: TrialConfig) -> list:
     return _run_checks(list(costs), cfg, ALL_CHECKS)
 
 
-def run_invariance_suite(f: CostFunction, cfg: TrialConfig) -> SuiteReport:
-    report = run_all_checks([f], cfg)[0]
-    return SuiteReport(f.name, report, report.probe)
+def run_invariance_suite(f: CostFunction, cfg: TrialConfig) -> InvarianceReport:
+    """All five identity checks for one cost; the report's probe is the
+    surjectivity probe, which fails exactly where scalar_collapse does."""
+    return run_all_checks([f], cfg)[0]

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from affinecost.cli import (
     EXIT_FAIL,
@@ -404,6 +409,18 @@ class TestUsage:
         assert captured.err.count("\n") == 1
         assert "rel_tol must be finite and positive" in captured.err
 
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    @pytest.mark.parametrize("command", ["check", "kernel"])
+    def test_tol_of_one_or_more_is_usage_error(self, command, tol, capsys):
+        # A scalar discrepancy |u - v| / max(1, |u|, |v|) of nonnegative
+        # values is at most 1, so a tolerance of 1 passes every check.
+        code = main([command, "--cost", "trace", "--dims", "2", "--trials", "20", "--tol", tol])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("affinecost: error: rel_tol must be finite and positive, "
+                                f"and below 1, got {float(tol)!r}\n")
+
     @pytest.mark.parametrize("argv,target", [
         (["commutator", "--n", "2", "--i", "1", "--j", "2", "--lambda", "3"], "missing/x.txt"),
         (["check", "--cost", "det", "--dims", "1", "--trials", "2"], "."),
@@ -456,3 +473,146 @@ class TestUsage:
         assert outputs[0] == outputs[1]
         if command == "mcd":
             assert json.loads(outputs[1])["examined"] == 4
+
+
+# The CLI's grammar, bounded so that every run stays small: at most 3
+# trials and dimension 4, and MCD inputs of at most 8 points.
+EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e-300", "1e-7", "0.5", "1", "2", "1023.9", "1024",
+               "1e308", "inf", "-inf", "nan", "x", "")
+NUMBERS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats().map(repr))
+SELECTORS = st.one_of(
+    st.sampled_from(["det", "trace", "identity", " det ", "qdet", "frobenius", ""]),
+    NUMBERS.map("qdet:{}".format))
+FORMATS = st.sampled_from(["json", "text", "xml"])
+# Each flag's valid values, and values it must refuse.
+TRIAL_FLAGS = {
+    "--dims": (st.sampled_from(["1", "4", "1..4", "2,3"]),
+               st.sampled_from(["3..1", "0", "65", "1..65", "x", "1,,2", ""])),
+    "--trials": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x"])),
+    "--seed": (st.integers(-2**64, 2**64).map(str), st.sampled_from(["x", "1.5"])),
+    "--tol": (st.sampled_from(["1e-300", "1e-8", "0.5"]),
+              st.sampled_from(["0", "1", "2", "inf", "nan", "-1e-8"])),
+    "--format": (st.sampled_from(["json", "text"]), st.just("xml")),
+}
+
+
+@st.composite
+def trial_argvs(draw):
+    # Every flag valid but at most one, and a selector from the whole grammar.
+    edge = draw(st.sampled_from([None, *TRIAL_FLAGS]))
+    argv = [draw(st.sampled_from(["check", "kernel"])), "--cost", draw(SELECTORS)]
+    for flag, (valid, refused) in TRIAL_FLAGS.items():
+        argv += [flag, draw(refused if flag == edge else valid)]
+    return argv
+
+
+ENTRIES = st.one_of(
+    st.sampled_from(["1e155", "-1e300", "1e-320", "inf", "-inf", "nan", "0", "1", "x", ""]),
+    st.floats().map(repr))
+
+
+@st.composite
+def matrix_texts(draw):
+    # Unit upper-triangular matrices (determinant one, so decompose can
+    # run), square ones, and ragged ones, under a right or a wrong header.
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["unit", "square", "ragged"]))
+    if kind == "unit":
+        rows = [["1" if i == j else draw(ENTRIES) if i < j else "0" for j in range(n)]
+                for i in range(n)]
+    elif kind == "square":
+        rows = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(ENTRIES, max_size=5), max_size=5))
+    header = draw(st.sampled_from([str(n), str(n), "0", "65", "x"]))
+    return f"{header}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def csv_texts(draw):
+    # Clean or edge entries, in rectangular or ragged rows.
+    width = draw(st.integers(1, 3))
+    ragged = draw(st.booleans())
+    entries = draw(st.sampled_from([ENTRIES, st.floats(allow_nan=False,
+                                                       allow_infinity=False).map(repr)]))
+    row = st.lists(entries, min_size=1 if ragged else width, max_size=4 if ragged else width)
+    rows = draw(st.lists(row, max_size=8))
+    header = draw(st.sampled_from(["", "x,y\n"]))
+    return header + "".join(",".join(fields) + "\n" for fields in rows)
+
+
+# (argv, input file bytes); "{input}" in argv names the file.
+FILE_CASES = st.one_of(
+    st.builds(lambda data, h, cost, fmt: (
+        ["mcd", "--input", "{input}", "--h", str(h), "--cost", cost, "--format", fmt], data),
+        st.one_of(csv_texts().map(str.encode), st.binary(max_size=16)),
+        st.integers(-1, 9), SELECTORS, FORMATS),
+    st.builds(lambda data, fmt: (["decompose", "--input", "{input}", "--format", fmt], data),
+              st.one_of(matrix_texts().map(str.encode), st.binary(max_size=16)), FORMATS))
+
+
+@st.composite
+def commutator_argvs(draw):
+    n = draw(st.integers(1, 4))
+    i, j = draw(st.integers(0, n + 1)), draw(st.integers(0, n + 1))
+    return ["commutator", "--n", str(n), "--i", str(i), "--j", str(j),
+            "--lambda", draw(NUMBERS), "--format", draw(FORMATS)]
+
+
+def run_in_process(argv):
+    """main's exit code, stdout and stderr; any warning raises out of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_UNRECOGNIZED_KERNEL, EXIT_USAGE, EXIT_INPUT), (
+        argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    lines = err.splitlines()
+    if code in (EXIT_PASS, EXIT_FAIL):
+        if argv[0] == "decompose" and "json" not in argv:  # text, the default
+            assert re.fullmatch(r"residual \S+\n", err), (argv, err)
+        else:
+            assert err == "", (argv, err)
+        if "json" in argv:
+            json.loads(out)
+        return
+    assert out == "", (argv, out)
+    if code == EXIT_USAGE and lines[0].startswith("usage: "):
+        # argparse's usage, wrapped onto indented lines, then one error line.
+        assert all(line.startswith(" ") for line in lines[1:-1]), (argv, err)
+        lines = lines[-1:]
+    assert len(lines) == 1, (argv, err)
+    if code == EXIT_USAGE:
+        assert ": error: " in lines[0], (argv, err)
+
+
+class TestExitContract:
+    """Every input ends in a documented exit code with a one-line
+    diagnostic on stderr, never a traceback or a warning."""
+
+    @given(argv=trial_argvs())
+    @example(argv=["check", "--cost", "qdet:5e-324", "--dims", "1..2", "--trials", "3"])
+    def test_check_and_kernel(self, argv):
+        assert_exit_contract(argv)
+
+    @given(case=FILE_CASES)
+    @example(case=(["decompose", "--input", "{input}"], b"2\n1 1e155\n0 1\n"))
+    @example(case=(["decompose", "--input", "{input}"], b"2\n1e155 1e155\n1e155 0\n"))
+    def test_mcd_and_decompose(self, case, tmp_path_factory):
+        argv, data = case
+        path = tmp_path_factory.mktemp("input") / "input"
+        path.write_bytes(data)
+        assert_exit_contract([arg.format(input=path) for arg in argv])
+
+    @given(argv=commutator_argvs())
+    @example(argv=["commutator", "--n", "2", "--i", "1", "--j", "2",
+                   "--lambda", "1.348269851146737e+308"])
+    def test_commutator(self, argv):
+        assert_exit_contract(argv)

@@ -421,7 +421,8 @@ class TestSelectorGrammar:
         assert f.kernel.a == 0.5
         assert f.name == "qdet:0.5"
 
-    @pytest.mark.parametrize("bad", ["qdet:", "qdet:x", "qdet:-1", "qdet:0", "frobenius", ""])
+    @pytest.mark.parametrize("bad", ["qdet:", "qdet:x", "qdet:-1", "qdet:0", "qdet:5e-324",
+                                     "frobenius", ""])
     def test_bad_selectors(self, bad):
         with pytest.raises(ValueError):
             cost_from_selector(bad)

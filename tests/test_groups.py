@@ -191,19 +191,22 @@ class TestElementaryAsCommutator:
         assert np.array_equal(pair.a_factor.entries, elementary(3, 0, 2, 5.0).entries)
         assert np.array_equal(pair.b_factor.entries, elementary(3, 2, 1, 1.0).entries)
         target = elementary(3, 0, 1, 5.0)
-        assert np.abs(pair.realize().entries - target.entries).max() <= 1e-12
+        realized = commutator(pair.a_factor, pair.b_factor)
+        assert np.abs(realized.entries - target.entries).max() <= 1e-12
 
     def test_two_dim_example(self):
         pair = elementary_as_commutator(2, 0, 1, 3.0)
         assert np.array_equal(pair.a_factor.entries, np.diag([2.0, 0.5]))
         assert np.array_equal(pair.b_factor.entries, elementary(2, 0, 1, 1.0).entries)
         target = elementary(2, 0, 1, 3.0)
-        assert np.abs(pair.realize().entries - target.entries).max() <= 1e-12
+        realized = commutator(pair.a_factor, pair.b_factor)
+        assert np.abs(realized.entries - target.entries).max() <= 1e-12
 
     def test_zero_scale_gives_identity(self):
         for n in (2, 3):
             pair = elementary_as_commutator(n, 0, 1, 0.0)
-            assert np.abs(pair.realize().entries - np.eye(n)).max() <= 1e-12
+            realized = commutator(pair.a_factor, pair.b_factor)
+            assert np.abs(realized.entries - np.eye(n)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witness_grid(self, n):
@@ -214,7 +217,8 @@ class TestElementaryAsCommutator:
                 for lam in (-2.0, -1.0, 0.5, 1.0, 3.0):
                     pair = elementary_as_commutator(n, row, col, lam)
                     target = elementary(n, row, col, lam)
-                    err = np.abs(pair.realize().entries - target.entries).max()
+                    realized = commutator(pair.a_factor, pair.b_factor)
+                    err = np.abs(realized.entries - target.entries).max()
                     assert err <= 1e-12, (n, row, col, lam, err)
 
     def test_pair_type(self):

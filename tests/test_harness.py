@@ -69,7 +69,7 @@ class TestTrialConfig:
             TrialConfig(dims=(2, 65))
         with pytest.raises(ValueError, match="trials"):
             TrialConfig(trials=0)
-        for bad in (0.0, -1e-8, math.nan, math.inf):
+        for bad in (0.0, -1e-8, 1.0, 2.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rel_tol"):
                 TrialConfig(rel_tol=bad)
 
@@ -223,9 +223,10 @@ class TestReports:
         cfg = TrialConfig(dims=(2,), trials=20, master_seed=3)
         report = check(TRACE_COST, cfg, "commutator")
         example = report.counterexamples[0]
-        for text in example.inputs.values():
+        for key, text in example.as_dict()["inputs"].items():
             matrix = parse_matrix(text)
             assert matrix.shape == (2, 2)
+            assert matrix.tobytes() == example.inputs[key].tobytes()
 
     def test_reports_deterministic(self):
         cfg = small_cfg(trials=20)
@@ -246,13 +247,15 @@ class TestReports:
             singles = [check(f, cfg, name) for name in ALL_CHECKS]
             expected = tuple(c for r in singles for c in r.checks)
             assert report.checks == expected
-            examples = tuple(e for r in singles for e in r.counterexamples)
-            assert report.counterexamples == examples
+            examples = [e.as_dict() for r in singles for e in r.counterexamples]
+            assert [e.as_dict() for e in report.counterexamples] == examples
 
     def test_det_factorization_wrapper_matches_check(self):
         cfg = small_cfg(trials=5)
         for f in (DET_COST, IDENTITY_COST):
-            assert check_det_factorization(f, cfg) == check(f, cfg, "det_factorization")
+            wrapped, checked = check_det_factorization(f, cfg), check(f, cfg, "det_factorization")
+            assert wrapped.as_dict() == checked.as_dict()
+            assert wrapped.probe.as_dict() == checked.probe.as_dict()
 
     def test_unknown_check_name(self):
         with pytest.raises(ValueError, match="unknown check 'sqrt'"):
@@ -262,8 +265,7 @@ class TestReports:
         cfg = TrialConfig(dims=(2,), trials=10, master_seed=11)
         suite = run_invariance_suite(IDENTITY_COST, cfg)
         assert suite.verdict == "fail"
-        body = suite.as_dict()
-        assert body["surjectivity"]["covered_fraction"] == 0.0
+        assert suite.probe.as_dict()["covered_fraction"] == 0.0
 
 
 
@@ -301,8 +303,8 @@ class TestTrialFamily:
             assert probe.as_dict()["uncovered_count"] == scalar["scalar_collapse"].failures
             assert probe.samples == scalar["scalar_collapse"].trials_run
             suite = run_invariance_suite(f, cfg)
-            assert suite.surjectivity == probe
-            assert suite.report == run_all_checks([f], cfg)[0]
+            assert suite.probe.as_dict() == probe.as_dict()
+            assert suite.as_dict() == run_all_checks([f], cfg)[0].as_dict()
 
     def test_sub_checks_share_the_trial_family(self):
         # One stream per trial: the matrices a trial's sub-checks name are
@@ -310,7 +312,7 @@ class TestTrialFamily:
         cfg = TrialConfig(dims=(2, 3), trials=10, master_seed=7)
         suite = run_invariance_suite(IDENTITY_COST, cfg)
         by_trial = {}
-        for example in suite.report.counterexamples + suite.surjectivity.uncovered:
+        for example in suite.counterexamples + suite.probe.uncovered:
             by_trial.setdefault((example.dim, example.trial), {})[example.check_name] = (
                 example.inputs)
         shared = 0
@@ -321,7 +323,7 @@ class TestTrialFamily:
                                        ("sl_conjugation", "scalar_collapse", "M"),
                                        ("scalar_collapse", "surjectivity", "M")]:
                 if first in found and second in found:
-                    assert found[first][key] == found[second][key]
+                    assert found[first][key].tobytes() == found[second][key].tobytes()
                     shared += 1
         assert shared >= 10
 
@@ -330,7 +332,7 @@ class TestTrialFamily:
         keys = {}
         for f in (CORNER_COST, IDENTITY_COST):
             suite = run_invariance_suite(f, cfg)
-            for example in suite.report.counterexamples + suite.surjectivity.uncovered:
+            for example in suite.counterexamples + suite.probe.uncovered:
                 keys.setdefault(example.check_name, set()).add(tuple(sorted(example.inputs)))
         assert keys == {
             "implication": {("A", "M", "N")},
@@ -463,15 +465,15 @@ class TestStackedEvaluation:
         # Every check kind reads the one trial family: the chunk size counts
         # on the family's declared stacks per trial, and the family yields
         # every sub-check the kind reports.
-        ((family, per_trial),) = harness._TRIALS.values()
         staged = []
 
         def stage(stack):
             staged.append(stack.shape)
             return slice(0, 0)
 
-        yielded = [sub[0] for sub in family(3, _trial_rngs(1, 3, range(5)), stage)]
-        assert staged == [(5, 3, 3)] * per_trial
+        rngs = _trial_rngs(1, 3, range(5))
+        yielded = [sub[0] for sub in harness._trial_family(3, rngs, stage)]
+        assert staged == [(5, 3, 3)] * harness.FAMILY_STACKS
         assert set(harness._CHECKS[name]) <= set(yielded)
 
 
