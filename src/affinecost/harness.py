@@ -9,20 +9,22 @@ trial draws one family, M (PD), S (SL), A and B (GL) and Q (orthogonal),
 from one stream: np.random.default_rng of the 64-bit blake2b key of
 (master seed, dim, trial). So a report is a deterministic function of its
 TrialConfig, and a check's rows do not depend on the checks run beside it.
-The family's 10 stacks serve all six sub-checks, and the probe (f(M)
-against f(s*I) at s*I of equal determinant) is a view of scalar_collapse's
-rows on every report, so run_invariance_suite returns run_all_checks'
-report. The runner makes one pass per dimension, in chunks of trials: a
-chunk seeds its streams in one rng.default_rngs batch, bit for bit those
-streams, and draws them as (trials, n, n) stacks. The chunk's stacks, at
-most CHUNK_ENTRIES entries, pass gate_pd (SymPosDefMatrix's gate, the only
-one: the samplers' draws and grams are valid by construction) in one call,
-and each cost scores them in one values call; a matrix has the same bits
-in any stack, so neither batching nor chunking changes a report. Failures
-are data, not errors: each sub-check's fail mask is counted, and only
-failing trials are kept as counterexamples, whose matrices are written out
-only when a report is (as_dict). Kernel estimation reads the cost's value
-map on log-determinants and builds no matrix.
+The family is data: one batch of its 10 scored stacks (_SCORED), and one
+table (_CHECKS) of the stacks each of the six sub-checks compares. The
+probe (f(M) against f(s*I) at s*I of equal determinant) is a view of
+scalar_collapse's rows on every report, so run_invariance_suite returns
+run_all_checks' report. The runner makes one pass per dimension, in
+chunks of trials: a chunk seeds its streams in one rng.default_rngs batch,
+bit for bit those streams, and draws them as (trials, n, n) stacks. The
+batch, at most CHUNK_ENTRIES entries, passes gate_pd (SymPosDefMatrix's
+gate, the only one: the samplers' draws and grams are valid by
+construction) in one call, and each cost scores it in one values call; a
+matrix has the same bits in any stack, so neither batching nor chunking
+changes a report. Failures are data, not errors: each sub-check's fail
+mask is counted, and only failing trials are kept as counterexamples,
+whose matrices are written out only when a report is (as_dict). Kernel
+estimation reads the cost's value map on log-determinants and builds no
+matrix.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from .linalg import (congruence, log_det, random_gl, random_orthogonal,  # noqa:
 MAX_COUNTEREXAMPLES = 10
 
 # Matrix entries a chunk scores: dimension n runs its trials in chunks of
-# CHUNK_ENTRIES // (n**2 * stacks the family stages per trial), at least
-# one, so a pass holds a few stacks of at most this many entries whatever
-# the dimension, trial count and checks.
+# CHUNK_ENTRIES // (n**2 * FAMILY_STACKS), at least one, so a pass holds
+# a few batches of at most this many entries whatever the dimension, trial
+# count and checks.
 CHUNK_ENTRIES = 2**15
 
 # Kernel scan: log2 t covers (0, 4] (t up to 16) in dyadic steps, fine
@@ -89,6 +91,9 @@ class TrialConfig:
         # Bounded before any stack of n x n matrices is allocated.
         if not dims or any(not 1 <= d <= MAX_DIM for d in dims):
             raise ValueError(f"dims must be in [1, {MAX_DIM}], got {self.dims!r}")
+        # A repeated dimension would draw its trials' streams twice.
+        if len(set(dims)) < len(dims):
+            raise ValueError(f"dims must not repeat, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -129,12 +134,13 @@ class Counterexample:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvarianceReport:
     """Aggregate of one or more checks; verdict passes only with zero
     failures everywhere. probe is the surjectivity probe over the same
     samples, which every pass scores and as_dict leaves out; it fails
-    exactly where scalar_collapse does."""
+    exactly where scalar_collapse does. Compare reports by as_dict(): they
+    hold arrays, so == is identity."""
 
     cost_name: str
     checks: tuple
@@ -154,9 +160,9 @@ class InvarianceReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurjectivityReport:
-    """Coverage of f's values by the scalar matrices s*I."""
+    """Coverage of f's values by the scalar matrices s*I; compare by as_dict()."""
 
     cost_name: str
     covered_fraction: float
@@ -206,27 +212,28 @@ def _trial_rngs(master_seed: int, dim: int, trials) -> list:
     return default_rngs(np.frombuffer(b"".join(digests), dtype=">u8"))
 
 
-def _rows(values: CostValues, rows: slice) -> CostValues:
+def _rows(values: CostValues, key: str, m: int) -> CostValues:
+    # The rows of _SCORED stack key in the values of a chunk of m trials.
+    row = _SCORED.index(key) * m
+    rows = slice(row, row + m)
     payload = None if values.payload is None else values.payload[rows]
     return CostValues(values.canonical[rows], values.class_tag, payload)
 
 
 def _run_checks(costs, cfg: TrialConfig, names) -> list:
-    """Score the named checks' sub-checks (keys of _CHECKS) and the probe
-    for several costs over the trial family; returns one InvarianceReport
-    per cost, its checks and counterexamples in names order.
+    """Score the named checks' sub-checks and the probe for several costs
+    over the trial family; returns one InvarianceReport per cost, its
+    checks and counterexamples in names order.
 
-    The family draws a chunk's stacks from its trials' streams, stages
-    each stack it scores into the chunk's batch (FAMILY_STACKS per trial),
-    and yields (sub_name, inputs, lhs, rhs, guard): inputs maps names to
-    raw stacks, whose rows a failing trial keeps; lhs and rhs are rows of
-    the batch; a guard (i, j) compares lhs with rhs only where f(i) = f(j),
-    and a failed guard counts a zero discrepancy. Each check keeps at most
-    MAX_COUNTEREXAMPLES counterexamples per cost, in (dim, trial,
+    A sub-check (name, lhs, rhs, guard, inputs) of _CHECKS compares f on
+    stack lhs with f on stack rhs, both in _SCORED; a guard (i, j) compares
+    them only where f(i) = f(j), and a failed guard counts a zero
+    discrepancy. A failing trial keeps its rows of the draws inputs names,
+    at most MAX_COUNTEREXAMPLES per check and cost, in (dim, trial,
     sub-check) order.
     """
     names = (*names, "surjectivity")
-    kinds = {sub_name: k for k, name in enumerate(names) for sub_name in _CHECKS[name]}
+    subs = [(k, sub) for k, name in enumerate(names) for sub in _CHECKS[name]]
     totals = [dict() for _ in costs]
     examples = [[[] for _ in names] for _ in costs]
     for dim in cfg.dims:
@@ -234,42 +241,30 @@ def _run_checks(costs, cfg: TrialConfig, names) -> list:
         for first in range(0, cfg.trials, step):
             trials = range(first, min(first + step, cfg.trials))
             m = len(trials)
-            rngs = _trial_rngs(cfg.master_seed, dim, trials)
-            batch = np.empty((FAMILY_STACKS * m, dim, dim))
-            rows = iter(range(0, len(batch), m))
-
-            def stage(stack) -> slice:
-                row = next(rows)
-                batch[row:row + m] = stack
-                return slice(row, row + m)
-
-            # Every stack is staged; only the named checks' sub-checks are scored.
-            subs = [(kinds[sub[0]], sub) for sub in _trial_family(dim, rngs, stage)
-                    if sub[0] in kinds]
-            del rngs  # spent Generators, freed before the gate
+            batch, kept = _trial_family(dim, _trial_rngs(cfg.master_seed, dim, trials))
             log_dets = gate_pd(batch)  # SymPosDefMatrix's gate, and its Cholesky's log-dets
             for slot, f in enumerate(costs):
                 values = f.values(batch, log_dets)
                 failed = []
-                for _, (sub_name, _, lhs, rhs, guard) in subs:
-                    disc = value_discrepancies(_rows(values, lhs), _rows(values, rhs))
+                for _, (sub_name, lhs, rhs, guard, _) in subs:
+                    disc = value_discrepancies(_rows(values, lhs, m), _rows(values, rhs, m))
                     if guard:
-                        disc[~values_match(*(_rows(values, g) for g in guard), cfg.rel_tol)] = 0.0
+                        disc[~values_match(*(_rows(values, g, m) for g in guard),
+                                           cfg.rel_tol)] = 0.0
                     mask = disc > value_tolerance(values, cfg.rel_tol)
                     failed.append(mask)
                     runs, fails, worst = totals[slot].get(sub_name, (0, 0, 0.0))
                     totals[slot][sub_name] = (runs + m, fails + int(mask.sum()),
                                               max(worst, float(disc.max())))
                 for t in np.flatnonzero(np.any(failed, axis=0)).tolist():
-                    for (k, (sub_name, inputs, *_)), mask in zip(subs, failed):
+                    for (k, (sub_name, *_, inputs)), mask in zip(subs, failed):
                         if mask[t] and len(examples[slot][k]) < MAX_COUNTEREXAMPLES:
                             examples[slot][k].append(Counterexample(
                                 sub_name, dim, trials[t],
-                                {key: stack[t].copy() for key, stack in inputs.items()}))
+                                {key: kept[key][t].copy() for key in inputs}))
     reports = []
     for f, total, found in zip(costs, totals, examples):
-        *checks, probe = (CheckResult(sub_name, *total[sub_name])
-                          for name in names for sub_name in _CHECKS[name])
+        *checks, probe = (CheckResult(sub[0], *total[sub[0]]) for _, sub in subs)
         fraction = (probe.trials_run - probe.failures) / probe.trials_run
         reports.append(InvarianceReport(
             f.name, tuple(checks), tuple(e for kind in found[:-1] for e in kind),
@@ -288,48 +283,45 @@ def _gram(A) -> np.ndarray:
     return congruence_stack(np.eye(A.shape[-1])[None], A)
 
 
-def _trial_family(n, rngs, stage):
-    # One draw of each matrix per trial stream, in this order.
+def _trial_family(n, rngs) -> tuple:
+    """(batch, kept) for rngs' trials: the _SCORED stacks in one batch, and
+    the draws a counterexample may keep. Each stream draws M, S, A, B, Q."""
     M = random_pd_stack(n, rngs)
     S = random_gl_stack(n, rngs, unit_det=True)
     A = random_gl_stack(n, rngs)
     B = random_gl_stack(n, rngs)
     Q = random_orthogonal_stack(n, rngs)
     N = congruence_stack(M, S)
-    at_m, at_n = stage(M), stage(N)
-    lhs, at_na = stage(congruence_stack(M, A)), stage(congruence_stack(N, A))
+    gram_a = _gram(A)
+    # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
+    core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
+    scalar = _solved_scalars(M)
+    batch = np.concatenate((
+        M, N, congruence_stack(M, A), congruence_stack(N, A), gram_a,
+        congruence_stack(gram_a, Q), congruence_stack(_gram(B), A),
+        congruence_stack(gram_a, B), core[:, :, None] * np.eye(n), scalar))
+    return batch, {"M": M, "S": S, "A": A, "B": B, "Q": Q, "N": N, "sI": scalar}
+
+
+# The batch's stacks: MA is A^T M A (NA alike), ABBA is A^T B^T B A (AA, QAAQ
+# and BAAB alike), core the singular-value core, sI M's scalar matrices.
+_SCORED = ("M", "N", "MA", "NA", "AA", "QAAQ", "ABBA", "BAAB", "core", "sI")
+FAMILY_STACKS = len(_SCORED)
+
+# Each check's sub-checks (name, lhs, rhs, guard, inputs), in report order;
+# the probe reads scalar_collapse's rows under its own name.
+_CHECKS = {
     # Equal-value pairs are constructed, not searched: N is the
     # SL-congruence when that preserves the value (always, for factoring
     # costs), and where it does not, the guard counts the trial as exact
     # agreement; rejection sampling on equality of reals would never terminate.
-    yield "implication", {"M": M, "N": N, "A": A}, lhs, at_na, (at_m, at_n)
-    gram_a = _gram(A)
-    gram = stage(gram_a)
-    yield "orthogonal", {"A": A, "Q": Q}, gram, stage(congruence_stack(gram_a, Q)), None
-    full = stage(congruence_stack(_gram(B), A))
-    yield "commutator", {"A": A, "B": B}, full, stage(congruence_stack(gram_a, B)), None
-    # The diagonal matrices (L2 L1)^2, from the full SVD as svd_decompose.
-    core = (np.linalg.svd(B)[1] * np.linalg.svd(A)[1]) ** 2
-    yield "svd_collapse", {"A": A, "B": B}, full, stage(core[:, :, None] * np.eye(n)), None
-    yield "sl_conjugation", {"M": M, "S": S}, at_n, at_m, None
-    scalar = _solved_scalars(M)
-    at_scalar = stage(scalar)
-    yield "scalar_collapse", {"M": M, "sI": scalar}, at_m, at_scalar, None
-    yield "surjectivity", {"M": M}, at_m, at_scalar, None
-
-
-# The stacks _trial_family stages per trial: the batch's size.
-FAMILY_STACKS = 10
-
-# The family's sub-checks each check reports, in report order; the probe
-# reads scalar_collapse's rows under its own name.
-_CHECKS = {
-    "implication": ("implication",),
-    "orthogonal": ("orthogonal",),
-    "commutator": ("commutator",),
-    "svd_collapse": ("svd_collapse",),
-    "det_factorization": ("sl_conjugation", "scalar_collapse"),
-    "surjectivity": ("surjectivity",),
+    "implication": (("implication", "MA", "NA", ("M", "N"), ("M", "N", "A")),),
+    "orthogonal": (("orthogonal", "AA", "QAAQ", None, ("A", "Q")),),
+    "commutator": (("commutator", "ABBA", "BAAB", None, ("A", "B")),),
+    "svd_collapse": (("svd_collapse", "ABBA", "core", None, ("A", "B")),),
+    "det_factorization": (("sl_conjugation", "N", "M", None, ("M", "S")),
+                          ("scalar_collapse", "M", "sI", None, ("M", "sI"))),
+    "surjectivity": (("surjectivity", "M", "sI", None, ("M",)),),
 }
 
 

@@ -19,7 +19,7 @@ from affinecost.cli import (
     build_parser,
     main,
 )
-from affinecost.linalg import format_matrix, random_sl
+from affinecost.linalg import format_matrix, parse_matrix, random_sl
 
 
 @pytest.fixture()
@@ -101,6 +101,34 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "a < 1024" in captured.err
+
+    def test_repeated_dims_is_usage_error(self):
+        # A repeated dimension would draw its trials' streams twice and
+        # count each of their failures twice.
+        argv = ["check", "--cost", "det", "--dims", "2,2", "--trials", "3"]
+        code, out, err = run_in_process(argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "dims must not repeat" in err
+        assert_exit_contract(argv)
+
+    def test_counterexamples_at_64_round_trip(self):
+        # The controls fail at every n, but a run over several dimensions
+        # keeps only its first counterexamples; n = 64 alone writes its own.
+        code, out, err = run_in_process(
+            ["check", "--cost", "identity", "--dims", "64", "--trials", "1", "--format", "json"])
+        assert (code, err) == (EXIT_FAIL, "")
+        report = json.loads(out)
+        examples = report["counterexamples"] + report["surjectivity"]["uncovered"]
+        assert [e["check"] for e in report["counterexamples"]] == [
+            "orthogonal", "commutator", "svd_collapse", "sl_conjugation", "scalar_collapse"]
+        for example in examples:
+            assert example["dim"] == 64
+            for text in example["inputs"].values():
+                matrix = parse_matrix(text)
+                assert matrix.shape == (64, 64)
+                assert format_matrix(matrix) == text
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -73,6 +73,13 @@ class TestTrialConfig:
             with pytest.raises(ValueError, match="rel_tol"):
                 TrialConfig(rel_tol=bad)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (1, 2, 3, 2), (64, 64)])
+    def test_repeated_dims_refused(self, dims):
+        # Each pass over a repeated dimension would draw the same streams,
+        # so its trials and failures would count twice.
+        with pytest.raises(ValueError, match="dims must not repeat"):
+            TrialConfig(dims=dims)
+
 
 class TestFactoringCostsPass:
     @pytest.mark.parametrize("cost", [DET_COST, QDET_HALF, QDET_ONE, QDET_TWO],
@@ -267,6 +274,18 @@ class TestReports:
         assert suite.verdict == "fail"
         assert suite.probe.as_dict()["covered_fraction"] == 0.0
 
+    def test_reports_compare_by_as_dict(self):
+        # Reports hold arrays, so == is identity whether or not a pass kept
+        # counterexamples; equal passes agree through as_dict().
+        cfg = TrialConfig(dims=(2,), trials=5)
+        for f, kept in ((IDENTITY_COST, True), (DET_COST, False)):
+            first, second = run_invariance_suite(f, cfg), run_invariance_suite(f, cfg)
+            assert bool(first.counterexamples) == kept
+            assert first == first and first.probe == first.probe
+            assert first != second and first.probe != second.probe
+            assert first.as_dict() == second.as_dict()
+            assert first.probe.as_dict() == second.probe.as_dict()
+
 
 
 # A scalar cost that is not congruence invariant: f(M) = f(N) holds on
@@ -344,6 +363,21 @@ class TestTrialFamily:
             "surjectivity": {("M",)},
         }
 
+    def test_checks_read_the_family_table(self):
+        # One table lists every check, and one batch holds the family's
+        # scored stacks: each drawn stack the batch scores is its rows, and
+        # every kept draw has the chunk's m rows.
+        m, n = 5, 3
+        batch, kept = harness._trial_family(n, _trial_rngs(1, n, range(m)))
+        assert batch.shape == (harness.FAMILY_STACKS * m, n, n)
+        assert harness.FAMILY_STACKS == len(set(harness._SCORED))
+        assert set(harness._CHECKS) == {*ALL_CHECKS, "surjectivity"}
+        for key, stack in kept.items():
+            assert stack.shape == (m, n, n), key
+            if key in harness._SCORED:
+                row = harness._SCORED.index(key) * m
+                assert batch[row:row + m].tobytes() == stack.tobytes(), key
+
     def test_suite_and_kernel_gate_once_per_chunk(self, monkeypatch, capsys):
         from affinecost.cli import main
 
@@ -413,8 +447,10 @@ class TestStackedEvaluation:
         assert '"counterexamples": [{' in bodies[0]
 
     def test_memory_bounded_by_chunk(self):
-        # A pass holds about 11 stacks of at most CHUNK_ENTRIES entries;
-        # unchunked, these 300 trials at n = 64 peaked near 80 MB.
+        # A chunk holds the family's stacks and their one batch, each at
+        # most CHUNK_ENTRIES entries: the peak measured 1.38 MB against
+        # this bound's 4.19 MB. Unchunked, these 300 trials at n = 64
+        # peaked near 80 MB.
         cfg = TrialConfig(dims=(64,), trials=300)
         tracemalloc.start()
         try:
@@ -427,7 +463,7 @@ class TestStackedEvaluation:
 
     def test_memory_bounded_for_the_batched_pass(self):
         # Every check's stacks at a dimension share one chunk, sized by
-        # the entries it scores over all of them.
+        # the entries it scores over all of them; the peak measured 1.38 MB.
         cfg = TrialConfig(dims=(64,), trials=300)
         tracemalloc.start()
         try:
@@ -463,18 +499,16 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("name", sorted(harness._CHECKS))
     def test_kinds_stage_the_stacks_they_declare(self, name):
         # Every check kind reads the one trial family: the chunk size counts
-        # on the family's declared stacks per trial, and the family yields
-        # every sub-check the kind reports.
-        staged = []
-
-        def stage(stack):
-            staged.append(stack.shape)
-            return slice(0, 0)
-
-        rngs = _trial_rngs(1, 3, range(5))
-        yielded = [sub[0] for sub in harness._trial_family(3, rngs, stage)]
-        assert staged == [(5, 3, 3)] * harness.FAMILY_STACKS
-        assert set(harness._CHECKS[name]) <= set(yielded)
+        # on the family's declared stacks per trial, and the family holds
+        # every stack and input of each sub-check the kind reports.
+        m, n = 5, 3
+        batch, kept = harness._trial_family(n, _trial_rngs(1, n, range(m)))
+        assert batch.shape == (harness.FAMILY_STACKS * m, n, n)
+        subs = harness._CHECKS[name]
+        assert subs
+        for _, lhs, rhs, guard, inputs in subs:
+            assert {lhs, rhs, *(guard or ())} <= set(harness._SCORED)
+            assert inputs and set(inputs) <= set(kept)
 
 
 def blake2b_key(master_seed, dim, trial) -> int:
