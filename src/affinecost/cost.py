@@ -193,7 +193,7 @@ class CostFunction:
 
 def libm_exp(x: np.ndarray) -> np.ndarray:
     """math.exp of each element of a float64 array."""
-    return np.array([math.exp(v) for v in x.tolist()])
+    return np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
 
 
 def _det(stack, log_dets: np.ndarray) -> np.ndarray:

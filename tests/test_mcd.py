@@ -1,9 +1,11 @@
 import math
-from itertools import combinations
+import re
+from itertools import chain, combinations, islice
 
 import numpy as np
 import pytest
 
+from affinecost import mcd as mcd_module
 from affinecost.cost import (
     COST_REL_TOL,
     DET_COST,
@@ -19,6 +21,7 @@ from affinecost.mcd import (
     Dataset,
     DegenerateSubsetError,
     _covariance_stack,
+    _lex_chunks,
     affine_transform_dataset,
     check_equivariance,
     mcd_estimate,
@@ -254,8 +257,7 @@ class TestChunkedParity:
         points = [10.0 * (i + 1) for i in range(24)]
         points[0], points[17], points[19] = 0.0, 1.0, 2.0
         data = Dataset([[x] for x in points])
-        order = list(combinations(range(24), 2))
-        assert order.index((0, 17)) // CHUNK_SUBSETS != order.index((17, 19)) // CHUNK_SUBSETS
+        assert chunk_number(24, 2, (0, 17)) != chunk_number(24, 2, (17, 19))
         tied = [subset_covariance(data, s).entries for s in [(0, 17), (17, 19)]]
         assert tied[0][0, 0] == tied[1][0, 0] == 0.25
         for f in PARITY_COSTS[:3]:
@@ -325,18 +327,16 @@ def mixed_refused_chunks(dataset, h, chunk):
     """Chunks of chunk subsets, as mcd_estimate forms them, on whose
     covariance stack Cholesky raises and which hold both degenerate and
     positive definite subsets."""
-    subsets = list(combinations(range(dataset.k), h))
     found = 0
-    for first in range(0, len(subsets), chunk):
-        rows = subsets[first:first + chunk]
-        stack = _covariance_stack(dataset.points, np.array(rows))
+    for rows in _lex_chunks(dataset.k, h, chunk):
+        stack = _covariance_stack(dataset.points, rows)
         try:
             np.linalg.cholesky(stack)
             continue
         except np.linalg.LinAlgError:
             pass
         flags = []
-        for s in rows:
+        for s in rows.tolist():
             try:
                 subset_covariance(dataset, s)
                 flags.append(False)
@@ -404,12 +404,104 @@ class TestRunningMinimaFilter:
     def test_band_chain_pinned(self):
         # Today's chain: (0, 1, 3) is within the band of (0, 1, 2) and does
         # not replace it; (0, 2, 3) is more than a band below and does.
-        # ROADMAP item 3's lexicographic rule changes this on purpose, to
+        # ROADMAP item 4's lexicographic rule changes this on purpose, to
         # (0, 1, 3), the smallest subset within the band of the minimum.
         data = Dataset([[0.0], [1.0], [3.0], [7.0]])
         f = ladder_cost(data, 3, [1.0, 1.0 - 0.6e-8, 1.0 - 1.2e-8, 5.0])
         assert mcd_estimate(data, 3, f).subset == (0, 2, 3)
         assert reference_mcd(data, 3, f)[0] == (0, 2, 3)
+
+
+def chunk_number(k, h, subset):
+    """The number of the chunk mcd_estimate scores subset in."""
+    for number, chunk in enumerate(_lex_chunks(k, h, CHUNK_SUBSETS)):
+        if list(subset) in chunk.tolist():
+            return number
+    raise AssertionError(f"{subset} is in no chunk")
+
+
+def reference_covariance_stack(points, subsets):
+    """The covariance formula the goldens were written under: an (m, h, n)
+    fancy gather, its mean over axis 1, and a new array at each step."""
+    rows = points[subsets]
+    m, h, n = rows.shape
+    centered = np.empty((m, h * n + h * n % 2))[:, :h * n].reshape(m, h, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(rows, rows.mean(axis=1, keepdims=True), out=centered)
+        cov = centered.transpose(0, 2, 1) @ centered / h
+        stack = (cov + cov.transpose(0, 2, 1)) / 2.0
+    if not np.isfinite(stack).all():
+        raise ValueError("subset covariance overflows float64; matrix entries must be finite")
+    return stack
+
+
+class TestCovarianceStackBits:
+    # Every covariance keeps the reference formula's bits, or goldens and
+    # answers move. Its mean sums the h points pairwise when n = 1 and
+    # h >= 8, and in index order otherwise.
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reference_formula(self, n):
+        rng = np.random.default_rng([27, n])
+        overflows = 0
+        for trial in range(60):
+            k = int(rng.integers(max(n + 1, 9 if n == 1 else 0), 21))
+            h = int(rng.integers(max(n + 1, 8 if n == 1 and trial % 2 else 0), k + 1))
+            m = int(rng.integers(1, 300))
+            subsets = np.sort(rng.random((m, k)).argsort(axis=1)[:, :h], axis=1)
+            scale = 10.0 ** (rng.uniform(160, 200) if trial % 10 == 9 else rng.uniform(-100, 100))
+            points = rng.standard_normal((k, n)) * scale
+            points[rng.random((k, n)) < 0.1] = -0.0
+            points[-1] = points[0]
+            try:
+                expected = reference_covariance_stack(points, subsets).tobytes()
+            except ValueError as exc:
+                overflows += 1
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    _covariance_stack(points, subsets)
+                continue
+            assert _covariance_stack(points, subsets).tobytes() == expected
+        assert overflows >= 3
+
+
+BUILD_TABLE = mcd_module._combinations
+
+
+class TestLexChunks:
+    # The tie chain runs in scan order, so the chunks must join to
+    # itertools' lexicographic order exactly, whatever the chunk size.
+
+    @staticmethod
+    def joins_to_combinations(k, h, size, monkeypatch):
+        built = []
+
+        def recorded(lo, hi, r):
+            table = BUILD_TABLE(lo, hi, r)
+            built.append(len(table))
+            return table
+
+        monkeypatch.setattr(mcd_module, "_combinations", recorded)
+        expected = combinations(range(k), h)
+        chunks = list(_lex_chunks(k, h, size))
+        for number, chunk in enumerate(chunks):
+            m = len(chunk)
+            assert m == size or number == len(chunks) - 1
+            rows = np.fromiter(chain.from_iterable(islice(expected, m)), np.intp, m * h)
+            assert np.array_equal(chunk, rows.reshape(m, h))
+        assert next(expected, None) is None
+        # No lookup table outgrows the enumeration it serves.
+        assert len(built) == 2 and max(built) <= math.comb(k, h)
+
+    @pytest.mark.parametrize("size", [1, 7, CHUNK_SUBSETS], ids=["1", "7", "default"])
+    def test_every_small_shape(self, size, monkeypatch):
+        # One subset per chunk is slow, so that size stops at k = 10.
+        for k in range(1, 17 if size > 1 else 11):
+            for h in range(1, k + 1):
+                self.joins_to_combinations(k, h, size, monkeypatch)
+
+    @pytest.mark.parametrize("k,h", [(22, 11), (24, 20), (40, 3)])
+    def test_large_shapes(self, k, h, monkeypatch):
+        self.joins_to_combinations(k, h, CHUNK_SUBSETS, monkeypatch)
 
 
 class TestAffineTransform:
