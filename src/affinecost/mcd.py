@@ -57,9 +57,9 @@ from .linalg import MAX_DIM, NotPositiveDefiniteError, SymPosDefMatrix, is_float
 MAX_SUBSETS = 10**6
 
 # Subsets scored per covariance stack. On the mcd benchmark's inputs
-# (C(17, 10) subsets of points in R^3), chunks of 512 ran an estimate 13%
-# faster than chunks of 256 and chunks of 2,048 6% faster, while peak RSS
-# rose from 36.6 MB to 36.9 MB and 38.6 MB.
+# (C(17, 10) subsets of points in R^3) an estimate peaks at 36.6 MB RSS.
+# Larger chunks run faster (ROADMAP small mends), but six test ids embed
+# this value, so a change renames them.
 CHUNK_SUBSETS = 256
 
 
@@ -186,7 +186,11 @@ def _lex_chunks(k: int, h: int, size: int):
     t = h // 2
     heads = _combinations(0, k - t, h - t)
     tails = _combinations(h - t, k, t)
-    runs = np.array([math.comb(k - 1 - last, t) for last in range(k)])[heads[:, -1]]
+    # A head ends in some L from h - t - 1 to k - t - 1, so no run is
+    # longer than the tail table; smaller L would overflow int64.
+    low = h - t - 1
+    runs = np.array([math.comb(k - 1 - last, t) for last in range(low, k - t)],
+                    np.intp)[heads[:, -1] - low]
     ends = np.cumsum(runs)
     total = int(ends[-1])
     # Position p under head i is p - (ends[i] - runs[i]) into the head's

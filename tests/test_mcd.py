@@ -265,6 +265,20 @@ class TestChunkedParity:
             assert result.subset == (0, 17)
             assert result.subset == reference_mcd(data, 2, f)[0]
 
+    @pytest.mark.parametrize("n,k,h", [(1, 68, 67), (2, 70, 68)])
+    def test_leave_few_out_on_many_points(self, n, k, h):
+        # The lookup tables stay small when h is near k, but the tail runs
+        # of heads that cannot occur would not fit in int64.
+        points = np.random.default_rng([k, h]).standard_normal((k, n))
+        points[-1] = points[0]
+        data = Dataset(points)
+        subset, value, examined, degenerate = reference_mcd(data, h, DET_COST)
+        result = mcd_estimate(data, h, DET_COST)
+        assert result.subset == subset
+        assert result.subsets_examined == examined == math.comb(k, h)
+        assert result.degenerate_subsets == degenerate
+        assert result.cost_value.canonical == value.canonical
+
     def test_reported_cost_is_a_lone_evaluation(self):
         # The report carries the CostValue of a lone evaluation of the
         # winner's covariance.
@@ -499,7 +513,9 @@ class TestLexChunks:
             for h in range(1, k + 1):
                 self.joins_to_combinations(k, h, size, monkeypatch)
 
-    @pytest.mark.parametrize("k,h", [(22, 11), (24, 20), (40, 3)])
+    # At k = 68 and over, C(k - 1, h // 2) exceeds int64 when h is near k,
+    # though no head ends early enough to take that many tails.
+    @pytest.mark.parametrize("k,h", [(22, 11), (24, 20), (40, 3), (68, 67), (1000, 999)])
     def test_large_shapes(self, k, h, monkeypatch):
         self.joins_to_combinations(k, h, CHUNK_SUBSETS, monkeypatch)
 
